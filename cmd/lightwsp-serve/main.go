@@ -28,8 +28,8 @@
 // optional loopback-only -debug-addr serving net/http/pprof plus /metrics.
 //
 // Fleets: several nodes become one cache-coherent service with
-// -fleet-self/-fleet-peers (a shared rendezvous ring over run keys and
-// session IDs; wrong-node requests forward one hop to their owner) and -l2
+// -fleet-self/-fleet-peers (a shared rendezvous ring over session IDs;
+// wrong-node session requests forward one hop to their owner) and -l2
 // (a shared store — directory or peer URL — every node's cache reads
 // through and publishes to). Front the fleet with lightwsp-lb.
 package main

@@ -28,9 +28,11 @@ import (
 
 // Environment fallbacks for the shared flags: each flag's default comes from
 // its variable when set, so CI lanes and containers configure the tools
-// without threading flags through every invocation. The cache directory
-// reuses experiments.CacheDirEnv (LIGHTWSP_CACHE_DIR).
+// without threading flags through every invocation.
 const (
+	// CacheDirEnv supplies the default persistent result-cache directory
+	// (-cache).
+	CacheDirEnv = "LIGHTWSP_CACHE_DIR"
 	// WorkersEnv overrides the default worker-pool size (-j).
 	WorkersEnv = "LIGHTWSP_WORKERS"
 	// VerboseEnv, when non-empty, turns on progress lines (-v). The legacy
@@ -96,8 +98,8 @@ type Common struct {
 func (c *Common) Register(fs *flag.FlagSet) {
 	fs.IntVar(&c.Workers, "j", envInt(WorkersEnv, runtime.GOMAXPROCS(0)),
 		"simulation worker-pool size (default $"+WorkersEnv+" or GOMAXPROCS)")
-	fs.StringVar(&c.CacheDir, "cache", os.Getenv(experiments.CacheDirEnv),
-		"persistent result-cache directory (empty disables; defaults to $"+experiments.CacheDirEnv+")")
+	fs.StringVar(&c.CacheDir, "cache", os.Getenv(CacheDirEnv),
+		"persistent result-cache directory (empty disables; defaults to $"+CacheDirEnv+")")
 	fs.BoolVar(&c.Verbose, "v", os.Getenv(VerboseEnv) != "" || os.Getenv("BENCH_VERBOSE") != "",
 		"print progress lines (default set when $"+VerboseEnv+" is non-empty)")
 	fs.StringVar(&c.FaultSpec, "faults", os.Getenv(FaultsEnv),
@@ -145,11 +147,11 @@ func (c *Common) Progress() func(string) {
 func (c *Common) NewPool() *experiments.Pool { return experiments.NewPool(c.Workers) }
 
 // NewRunner returns a Runner configured with the shared knobs: pool size,
-// cache directory, progress callback.
+// result store (BlobCache), progress callback.
 func (c *Common) NewRunner() *experiments.Runner {
 	r := experiments.NewRunner()
 	r.SetWorkers(c.Workers)
-	r.SetCacheDir(c.CacheDir)
+	r.SetStore(c.BlobCache())
 	r.SetProgress(c.Progress())
 	return r
 }

@@ -20,7 +20,7 @@ func parse(t *testing.T, args ...string) Common {
 
 func TestEnvFallbacks(t *testing.T) {
 	t.Setenv(WorkersEnv, "3")
-	t.Setenv("LIGHTWSP_CACHE_DIR", "/tmp/lw-cache")
+	t.Setenv(CacheDirEnv, "/tmp/lw-cache")
 	t.Setenv(VerboseEnv, "1")
 	t.Setenv(FaultsEnv, "drop=10")
 	t.Setenv(FaultSeedEnv, "42")

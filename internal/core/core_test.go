@@ -89,7 +89,7 @@ func newRT(t *testing.T, p *isa.Program, cfg machine.Config) *Runtime {
 
 func TestLightWSPCompletesAndPersistsEverything(t *testing.T) {
 	rt := newRT(t, mixProg(), smallCfg())
-	sys, err := rt.RunToCompletion(maxCycles)
+	sys, err := rt.Run(context.Background(), maxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestCrashConsistencySweep(t *testing.T) {
 	// Inject a power failure at a spread of cycles across the whole run
 	// and verify the recovered final image matches the failure-free one.
 	rt := newRT(t, mixProg(), smallCfg())
-	clean, err := rt.RunToCompletion(maxCycles)
+	clean, err := rt.Run(context.Background(), maxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCrashConsistencySweep(t *testing.T) {
 
 func TestRepeatedFailuresMakeProgress(t *testing.T) {
 	rt := newRT(t, mixProg(), smallCfg())
-	clean, err := rt.RunToCompletion(maxCycles)
+	clean, err := rt.Run(context.Background(), maxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRecoveryUsesRecipes(t *testing.T) {
 	if rt.Compiled.Stats.PrunedCheckpoints == 0 {
 		t.Skip("no pruning happened for this shape")
 	}
-	clean, err := rt.RunToCompletion(maxCycles)
+	clean, err := rt.Run(context.Background(), maxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestRecoveryUsesRecipes(t *testing.T) {
 
 func TestNoFailureBeforeCompletionIsIdentity(t *testing.T) {
 	rt := newRT(t, mixProg(), smallCfg())
-	clean, err := rt.RunToCompletion(maxCycles)
+	clean, err := rt.Run(context.Background(), maxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestMultiThreadLockedCounterCrashConsistency(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	cfg.Threads = 4
 	rt := newRT(t, p, cfg)
-	clean, err := rt.RunToCompletion(maxCycles)
+	clean, err := rt.Run(context.Background(), maxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestLRPOOutperformsNaiveSfence(t *testing.T) {
 	// much slower than offloading ordering to the MCs.
 	p := mixProg()
 	rt := newRT(t, p, smallCfg())
-	light, err := rt.RunToCompletion(maxCycles)
+	light, err := rt.Run(context.Background(), maxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestLRPOOutperformsNaiveSfence(t *testing.T) {
 
 func TestRegionStatsTracked(t *testing.T) {
 	rt := newRT(t, mixProg(), smallCfg())
-	sys, err := rt.RunToCompletion(maxCycles)
+	sys, err := rt.Run(context.Background(), maxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestRegionStatsTracked(t *testing.T) {
 
 func TestPersistenceEfficiencyNearPerfect(t *testing.T) {
 	rt := newRT(t, mixProg(), smallCfg())
-	sys, err := rt.RunToCompletion(maxCycles)
+	sys, err := rt.Run(context.Background(), maxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestIoEndToEndWithRecipes(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := newRT(t, p, smallCfg())
-	clean, err := rt.RunToCompletion(maxCycles)
+	clean, err := rt.Run(context.Background(), maxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestOverflowEscapeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := rt.RunToCompletion(maxCycles)
+	clean, err := rt.Run(context.Background(), maxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestConstPrunedAcrossCallResume(t *testing.T) {
 	rt := newRT(t, p, smallCfg())
 	// The limit must have been recipe-pruned for this regression to bite.
 	pruned := rt.Compiled.Stats.ConstRecipes > 0
-	clean, err := rt.RunToCompletion(maxCycles)
+	clean, err := rt.Run(context.Background(), maxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -201,6 +202,43 @@ type verdictEntry struct {
 // are returned as errors; divergences are results, not errors.
 func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
+}
+
+// Smoke runs the exhaustive crash-consistency smoke campaigns: every
+// workload.FuzzSmokeProfiles profile at one and two cuts, seed 1 — every
+// cycle a power-cut point, the two-cut pass covering failure during
+// recovery. base supplies everything else (Pool, Cache, Faults, MaxCycles);
+// its Profile, Cuts and Seed are overwritten. Any divergence is an error:
+// the smoke set's job is to prove there are none.
+func Smoke(ctx context.Context, base Config) (Results, error) {
+	var out Results
+	for _, p := range workload.FuzzSmokeProfiles() {
+		for cuts := 1; cuts <= 2; cuts++ {
+			cfg := base
+			cfg.Profile, cfg.Cuts, cfg.Seed = p, cuts, 1
+			res, err := RunContext(ctx, cfg)
+			if err != nil {
+				return nil, err
+			}
+			if res.Divergences > 0 {
+				return nil, fmt.Errorf("crashfuzz: %s/%s (%d cuts): %d divergence(s)",
+					p.Suite, p.Name, cuts, res.Divergences)
+			}
+			out = append(out, res)
+		}
+	}
+	return out, nil
+}
+
+// Results renders a batch of campaigns one per line.
+type Results []*Result
+
+func (rs Results) String() string {
+	s := make([]string, len(rs))
+	for i, r := range rs {
+		s[i] = r.String()
+	}
+	return strings.Join(s, "\n")
 }
 
 // RunContext is Run with cancellation: when ctx ends, no further schedules

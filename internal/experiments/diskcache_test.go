@@ -36,7 +36,7 @@ func TestDiskCacheWarmStart(t *testing.T) {
 	p := cheapProfile(t)
 
 	r1 := NewRunner()
-	r1.SetCacheDir(dir)
+	r1.SetStore(NewBlobCache(dir))
 	st1, err := r1.Run(p, baseline.Baseline(), compiler.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestDiskCacheWarmStart(t *testing.T) {
 	// A second invocation (a new Runner, as a new process would build)
 	// must complete with zero fresh simulations and identical stats.
 	r2 := NewRunner()
-	r2.SetCacheDir(dir)
+	r2.SetStore(NewBlobCache(dir))
 	st2, err := r2.Run(p, baseline.Baseline(), compiler.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -64,11 +64,26 @@ func TestDiskCacheWarmStart(t *testing.T) {
 	}
 }
 
+// TestNewRunnerIgnoresCacheDirEnv pins SetStore as the Runner's only way to
+// a persistent cache: LIGHTWSP_CACHE_DIR is the -cache flag's default, which
+// the command line resolves, not something a library Runner reads.
+func TestNewRunnerIgnoresCacheDirEnv(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("LIGHTWSP_CACHE_DIR", dir)
+	r := NewRunner()
+	if _, err := r.Run(cheapProfile(t), baseline.Baseline(), compiler.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if files := cacheFiles(t, dir); len(files) != 0 {
+		t.Fatalf("NewRunner persisted %d entries under $LIGHTWSP_CACHE_DIR, want none", len(files))
+	}
+}
+
 func TestDiskCacheRejectsCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	p := cheapProfile(t)
 	r1 := NewRunner()
-	r1.SetCacheDir(dir)
+	r1.SetStore(NewBlobCache(dir))
 	if _, err := r1.Run(p, baseline.Baseline(), compiler.Config{}); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +96,7 @@ func TestDiskCacheRejectsCorruptEntry(t *testing.T) {
 	}
 
 	r2 := NewRunner()
-	r2.SetCacheDir(dir)
+	r2.SetStore(NewBlobCache(dir))
 	if _, err := r2.Run(p, baseline.Baseline(), compiler.Config{}); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +109,7 @@ func TestDiskCacheInvalidatesOldSchemaVersion(t *testing.T) {
 	dir := t.TempDir()
 	p := cheapProfile(t)
 	r1 := NewRunner()
-	r1.SetCacheDir(dir)
+	r1.SetStore(NewBlobCache(dir))
 	if _, err := r1.Run(p, baseline.Baseline(), compiler.Config{}); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +138,7 @@ func TestDiskCacheInvalidatesOldSchemaVersion(t *testing.T) {
 	}
 
 	r2 := NewRunner()
-	r2.SetCacheDir(dir)
+	r2.SetStore(NewBlobCache(dir))
 	if _, err := r2.Run(p, baseline.Baseline(), compiler.Config{}); err != nil {
 		t.Fatal(err)
 	}

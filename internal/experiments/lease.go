@@ -31,10 +31,15 @@ func (c *BlobCache) leasePath(name string) string {
 
 // Claim implements Leaser: attempt to take the named lease for owner. The
 // claim is an O_EXCL create of the lease file; losing the race (the file
-// exists with an unexpired record) returns false. A record that is expired,
-// torn or undecodable belonged to a crashed or wedged holder and is broken:
-// removed, then re-claimed through the same exclusive create so two
-// breakers still serialize.
+// exists with an unexpired record) returns false. A record that is expired
+// belonged to a crashed or wedged holder and is broken: removed, then
+// re-claimed through the same exclusive create so two breakers still
+// serialize. A torn or undecodable record is broken the same way once the
+// file is older than ttl; a younger one is a live claimant caught between
+// its exclusive create and its write, and breaking it would hand the lease
+// to two owners at once. A filesystem that keeps no modification times
+// (hostfs.MemFS) never ages such a record out; the Runner's lease failsafe
+// bounds that wait.
 func (c *BlobCache) Claim(name, owner string, ttl time.Duration) bool {
 	for attempt := 0; attempt < 2; attempt++ {
 		if c.tryCreateLease(name, owner, ttl) {
@@ -43,6 +48,12 @@ func (c *BlobCache) Claim(name, owner string, ttl time.Duration) bool {
 		rec, err := c.readLease(name)
 		if err == nil && time.Now().UnixNano() < rec.Expires {
 			return false // live holder
+		}
+		if err != nil {
+			info, serr := c.fs.Stat(c.leasePath(name))
+			if serr == nil && (info.ModTime().IsZero() || time.Since(info.ModTime()) < ttl) {
+				return false // record still being written
+			}
 		}
 		// Expired or unreadable: break it and retry the exclusive create
 		// exactly once — if another breaker wins the re-create, we lose.

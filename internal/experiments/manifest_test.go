@@ -60,14 +60,14 @@ func TestDiskCacheCarriesManifest(t *testing.T) {
 	p := cheapProfile(t)
 
 	r1 := NewRunner()
-	r1.SetCacheDir(dir)
+	r1.SetStore(NewBlobCache(dir))
 	if _, err := r1.Run(p, LightWSP(), compiler.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	fresh := r1.Manifests()[0]
 
 	r2 := NewRunner()
-	r2.SetCacheDir(dir)
+	r2.SetStore(NewBlobCache(dir))
 	if _, err := r2.Run(p, LightWSP(), compiler.Config{}); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestProgressTagsCachedAndFresh(t *testing.T) {
 	}
 
 	r1 := NewRunner()
-	r1.SetCacheDir(dir)
+	r1.SetStore(NewBlobCache(dir))
 	lines1 := collect(r1)
 	if _, err := r1.Run(p, baseline.Baseline(), compiler.Config{}); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestProgressTagsCachedAndFresh(t *testing.T) {
 	}
 
 	r2 := NewRunner()
-	r2.SetCacheDir(dir)
+	r2.SetStore(NewBlobCache(dir))
 	lines2 := collect(r2)
 	if _, err := r2.Run(p, baseline.Baseline(), compiler.Config{}); err != nil {
 		t.Fatal(err)

@@ -30,7 +30,6 @@ import (
 	crand "crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -51,10 +50,6 @@ import (
 
 // MaxRunCycles bounds any single simulation.
 const MaxRunCycles = 2_000_000_000
-
-// CacheDirEnv names the environment variable that, when set, enables the
-// persistent on-disk result cache for every new Runner.
-const CacheDirEnv = "LIGHTWSP_CACHE_DIR"
 
 // ScaledConfig returns the Table I configuration with capacities scaled
 // down 8× (see the package comment); everything else is Table I verbatim.
@@ -91,7 +86,7 @@ type Counters struct {
 // A Runner is safe for concurrent use. Simulations fan out over a worker
 // pool sized by GOMAXPROCS (SetWorkers overrides); two callers requesting
 // the same key share a single in-flight simulation. Configure the Runner
-// (SetWorkers, SetCacheDir, SetProgress) before the first Run.
+// (SetWorkers, SetStore, SetProgress) before the first Run.
 //
 // A Runner is a light handle over shared state: WithContext returns a new
 // handle bound to a request context that shares every cache, counter and
@@ -109,7 +104,7 @@ type runnerState struct {
 	inflight    map[string]*inflightRun
 	workerPool  *Pool
 	workers     int
-	disk        *diskCache
+	store       Store
 	counters    Counters
 	manifests   map[string]RunManifest
 	timelineDir string
@@ -131,10 +126,10 @@ type inflightRun struct {
 	waiters int
 }
 
-// NewRunner returns an empty runner with a GOMAXPROCS-sized worker pool.
-// If LIGHTWSP_CACHE_DIR is set, the persistent disk cache is enabled there.
+// NewRunner returns an empty runner with a GOMAXPROCS-sized worker pool and
+// no persistent result cache (SetStore enables one).
 func NewRunner() *Runner {
-	r := &Runner{
+	return &Runner{
 		s: &runnerState{
 			cache:     map[string]*machine.Stats{},
 			inflight:  map[string]*inflightRun{},
@@ -143,10 +138,6 @@ func NewRunner() *Runner {
 		},
 		ctx: context.Background(),
 	}
-	if dir := os.Getenv(CacheDirEnv); dir != "" {
-		r.s.disk = newDiskCache(dir)
-	}
-	return r
 }
 
 // WithContext returns a Runner handle bound to ctx, sharing all memoization
@@ -171,15 +162,6 @@ func (r *Runner) SetWorkers(n int) {
 	r.s.workerPool = nil
 }
 
-// SetPool makes the Runner fan simulations out over a caller-owned pool, so
-// one semaphore can govern the Runner and other workloads (crash-fuzzing
-// campaigns, streaming runs) together. Call before Run.
-func (r *Runner) SetPool(p *Pool) {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	r.s.workerPool = p
-}
-
 // Pool returns the Runner's worker pool, building it on first use.
 func (r *Runner) Pool() *Pool {
 	r.s.mu.Lock()
@@ -187,47 +169,17 @@ func (r *Runner) Pool() *Pool {
 	return r.s.pool()
 }
 
-// SetCacheDir enables the persistent disk cache under dir, overriding
-// LIGHTWSP_CACHE_DIR; an empty dir disables it. Call before Run.
-func (r *Runner) SetCacheDir(dir string) {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	if dir == "" {
-		r.s.disk = nil
-		return
-	}
-	r.s.disk = newDiskCache(dir)
-}
-
 // SetStore points the Runner's persistent result cache at an arbitrary
 // Store — typically a TieredStore whose L2 is shared with the rest of a
 // fleet. When the store also implements Leaser, fresh simulations go
 // through the fleet-wide lease gate (cross-node singleflight): the first
 // node to claim a run key simulates, every other node waits and loads the
-// leader's published result. A nil store disables the cache. Call before
-// Run; overrides SetCacheDir.
+// leader's published result. A nil store disables the cache. The store's
+// owner wires its observer (logger, storage counters). Call before Run.
 func (r *Runner) SetStore(st Store) {
 	r.s.mu.Lock()
 	defer r.s.mu.Unlock()
-	if st == nil {
-		r.s.disk = nil
-		return
-	}
-	r.s.disk = newDiskCacheStore(st)
-}
-
-// SetStorageObserver routes the disk cache's integrity/failure logging and
-// counters (quarantines, checksum failures, write errors). Call after
-// SetCacheDir/SetStore — enabling or moving the cache resets the observer —
-// and before Run.
-func (r *Runner) SetStorageObserver(log *slog.Logger, counters *StorageCounters) {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	if r.s.disk != nil {
-		if o, ok := r.s.disk.blobs.(observable); ok {
-			o.SetObserver(log, counters)
-		}
-	}
+	r.s.store = st
 }
 
 // SetTimelineDir enables per-run Chrome trace-event timelines: every fresh
@@ -478,15 +430,43 @@ func (s *runnerState) runInflight(ctx context.Context, pool *Pool, fl *inflightR
 	fl.cancel()
 }
 
-// execute resolves one distinct run: disk-cache load if enabled, else a
-// full simulation (persisted to the disk cache afterwards) behind the
+// runPayload is the RunCodec envelope payload of one cached run. The
+// envelope embeds the schema name, its version and the full key, so a
+// version bump, a truncated file, a foreign artifact or a (theoretical)
+// hash collision all read back as a miss — never as a wrong result.
+type runPayload struct {
+	Stats machine.Stats `json:"stats"`
+	// Manifest records the provenance and metrics of the simulation that
+	// produced this entry (Source stays "fresh" on disk; loads rewrite it).
+	Manifest RunManifest `json:"manifest"`
+}
+
+// loadRun returns the stored stats and manifest for the canonical key, if
+// the store holds a valid entry. Stale entries — wrong schema, wrong
+// version, wrong key, pre-envelope format — are evicted by the codec.
+func (s *runnerState) loadRun(key, hash string) (*machine.Stats, RunManifest, bool) {
+	var e runPayload
+	if !RunCodec.Load(s.store, hash, key, &e) {
+		return nil, RunManifest{}, false
+	}
+	return &e.Stats, e.Manifest, true
+}
+
+// storeRun persists one completed run, best-effort: a failed write only
+// costs a later re-simulation.
+func (s *runnerState) storeRun(key, hash string, st *machine.Stats, man RunManifest) {
+	RunCodec.Store(s.store, hash, key, runPayload{Stats: *st, Manifest: man})
+}
+
+// execute resolves one distinct run: a store load if a store is set, else a
+// full simulation (persisted to the store afterwards) behind the
 // fleet-wide lease gate when the store arbitrates leases. Either way it
 // records a RunManifest carrying the run's provenance and metrics.
 func (s *runnerState) execute(ctx context.Context, key string, p workload.Profile, sch machine.Scheme, cfg machine.Config, ccfg compiler.Config) (*machine.Stats, bool, error) {
 	hash := keyHash(key)
 	start := time.Now()
-	if s.disk != nil {
-		if st, man, ok := s.disk.load(key, hash); ok {
+	if s.store != nil {
+		if st, man, ok := s.loadRun(key, hash); ok {
 			man.Source = "cached"
 			man.WallSeconds = time.Since(start).Seconds()
 			man.TraceID = obs.TraceID(ctx)
@@ -497,7 +477,7 @@ func (s *runnerState) execute(ctx context.Context, key string, p workload.Profil
 		// Cross-node singleflight: when the store can arbitrate leases,
 		// exactly one node in the fleet simulates this key; everyone else
 		// waits for the leader's published result.
-		if ls, ok := s.disk.leaser(); ok {
+		if ls, ok := s.store.(Leaser); ok {
 			st, man, joined, release, err := s.leaseGate(ctx, ls, key, hash)
 			if err != nil {
 				return nil, false, err
@@ -533,8 +513,8 @@ func (s *runnerState) execute(ctx context.Context, key string, p workload.Profil
 		TraceID:       obs.TraceID(ctx),
 		Metrics:       snap,
 	}
-	if s.disk != nil {
-		s.disk.store(key, hash, st, man)
+	if s.store != nil {
+		s.storeRun(key, hash, st, man)
 	}
 	s.noteManifest(key, man)
 	s.progressLine(p, sch, hash, "fresh", time.Since(start), st)
@@ -579,7 +559,7 @@ func (s *runnerState) leaseGate(ctx context.Context, ls Leaser, key, hash string
 				hash[:12], wsperr.ErrCanceled, ctx.Err())
 		case <-time.After(leasePollInterval):
 		}
-		if st, man, ok := s.disk.load(key, hash); ok {
+		if st, man, ok := s.loadRun(key, hash); ok {
 			return st, man, true, nil, nil
 		}
 		if time.Now().After(deadline) {
@@ -591,7 +571,7 @@ func (s *runnerState) leaseGate(ctx context.Context, ls Leaser, key, hash string
 	// Won the claim. Re-check the store first: a leader that finished and
 	// released between our load miss and this claim already published the
 	// result, and re-simulating it would defeat the whole gate.
-	if st, man, ok := s.disk.load(key, hash); ok {
+	if st, man, ok := s.loadRun(key, hash); ok {
 		ls.Release(name, owner)
 		return st, man, true, nil, nil
 	}

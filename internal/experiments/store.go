@@ -7,9 +7,9 @@ import (
 )
 
 // observable is the optional observer seam a Store implementation may
-// expose (BlobCache, RemoteStore and TieredStore all do); the Runner and
-// server wire their logger and storage counters through it without caring
-// which concrete store they got.
+// expose (BlobCache, RemoteStore and TieredStore all do); a TieredStore
+// forwards its logger and storage counters through it to whichever tiers
+// support observation.
 type observable interface {
 	SetObserver(log *slog.Logger, counters *StorageCounters)
 }

@@ -147,6 +147,31 @@ func TestBlobCacheLeaseExpiry(t *testing.T) {
 	}
 }
 
+// TestBlobCacheLeaseTornRecord pins the window between a claimant's O_EXCL
+// create and its record write: an empty lease file is a live claim, not
+// debris, until it is older than the TTL. Breaking it at once handed one
+// run to two nodes under concurrent claims.
+func TestBlobCacheLeaseTornRecord(t *testing.T) {
+	c := NewBlobCache(t.TempDir())
+	path := c.leasePath("job")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c.Claim("job", "bob", time.Minute) {
+		t.Fatal("claim broke a lease whose record is still being written")
+	}
+	old := time.Now().Add(-2 * time.Minute)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Claim("job", "bob", time.Minute) {
+		t.Fatal("torn lease older than the TTL was not broken")
+	}
+}
+
 // TestBlobCacheLeaseExclusionMemFS races many claimants on one MemFS-backed
 // store (O_CREATE|O_EXCL semantics) and requires exactly one winner.
 func TestBlobCacheLeaseExclusionMemFS(t *testing.T) {
@@ -262,7 +287,7 @@ func TestLeaseGateFailsafe(t *testing.T) {
 	leaseFailsafe = 100 * time.Millisecond
 	defer func() { leaseFailsafe = oldFailsafe }()
 
-	s := &runnerState{disk: newDiskCache(t.TempDir())}
+	s := &runnerState{store: NewBlobCache(t.TempDir())}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -286,7 +311,7 @@ func TestLeaseGateFailsafe(t *testing.T) {
 
 // TestLeaseGateCanceled proves a waiting follower honors its context.
 func TestLeaseGateCanceled(t *testing.T) {
-	s := &runnerState{disk: newDiskCache(t.TempDir())}
+	s := &runnerState{store: NewBlobCache(t.TempDir())}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, _, _, _, err := s.leaseGate(ctx, stuckLeaser{}, "k", strings.Repeat("f", 64))

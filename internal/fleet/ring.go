@@ -1,7 +1,7 @@
 // Package fleet shards the lightwsp serving daemon across replicas: a
 // rendezvous-hash ring decides which node owns each routing key (run keys,
-// session IDs), nodes forward requests that land on the wrong replica, and
-// the lb Router fronts the fleet with health-aware admission. The design
+// session IDs), nodes forward session requests that land on the wrong
+// replica, and the lb Router fronts the fleet with health-aware admission. The design
 // goal is cache coherence on the cheap — no membership gossip, no
 // rebalancing protocol. Ownership is a pure function of (healthy node set,
 // key); losing a node simply re-evaluates that function, and the shared L2

@@ -10,7 +10,6 @@ import (
 	"lightwsp/internal/noc"
 	"lightwsp/internal/persistpath"
 	"lightwsp/internal/probe"
-	"lightwsp/internal/trace"
 	"lightwsp/internal/wpq"
 	"lightwsp/internal/wsperr"
 )
@@ -52,9 +51,6 @@ type System struct {
 	// (0 = not stuck); degradedMC[mc] marks controllers declared degraded.
 	stuckSince []uint64
 	degradedMC []bool
-
-	// ptrace, when set, records every WPQ→PM write (SetPersistTrace).
-	ptrace *trace.PersistTrace
 
 	// probe, when set, receives cycle-level instrumentation events
 	// (SetProbeSink); nil keeps every emit site to a single branch.
@@ -282,17 +278,7 @@ func (s *System) onFlush(mcID int, e wpq.Entry) {
 			Core: e.Core, MC: mcID, Region: e.Region, Addr: e.Addr,
 			Arg: uint64(s.mcs[mcID].q.Len() + 1)})
 	}
-	if s.ptrace != nil {
-		s.ptrace.Record(trace.PMWrite{
-			Cycle: s.cycle, MC: mcID, Addr: e.Addr, Val: e.Val,
-			Region: e.Region, Core: e.Core, Boundary: e.Boundary,
-		})
-	}
 }
-
-// SetPersistTrace attaches a persist-order trace; every subsequent WPQ→PM
-// write is recorded. Pass nil to detach.
-func (s *System) SetPersistTrace(t *trace.PersistTrace) { s.ptrace = t }
 
 // SetFaultInjector attaches a persist-fabric fault injector: the NoC starts
 // consulting it on every message and the WPQs arm their reliable-delivery

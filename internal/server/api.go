@@ -27,11 +27,13 @@
 //	POST/DELETE /v1/lease/{name}   peer lease arbiter (fleet singleflight)
 //
 // Fleets (Config.FleetSelf/FleetPeers/L2): several nodes share one
-// rendezvous-hash ring over run keys and session IDs. A request that lands
-// on the wrong member is forwarded to its owner (one hop, loop-guarded by
-// X-LightWSP-Forwarded; X-LightWSP-Served-By names the node that answered),
-// every node's cache reads through the shared L2 store, and a fleet-wide
-// lease makes concurrent requests for one run key simulate exactly once.
+// rendezvous-hash ring over session IDs. A session request that lands on
+// the wrong member is forwarded to the session's owner (one hop,
+// loop-guarded by X-LightWSP-Forwarded), because a session has a single
+// writer. Any node serves run requests itself: every node's cache reads
+// through the shared L2 store, and a fleet-wide lease makes concurrent
+// requests for one run key simulate exactly once. X-LightWSP-Served-By
+// names the node that answered.
 //
 // Durable sessions (enabled by Config.SessionDir) are long-lived runs that
 // survive power loss and server restarts: every advance is journaled before

@@ -8,17 +8,21 @@ import (
 	"lightwsp/internal/fleet"
 )
 
-// This file is the server side of fleet routing: a node that receives a
-// request whose routing key hashes to another member forwards it there, one
-// hop at most. The lb usually lands requests on their owner directly, so
-// forwarding is the correction path — a stale lb view, a client talking to
-// a node directly, or a membership disagreement mid-rehash. Serving locally
-// is always *correct* (the shared L2 makes any node able to resolve any
-// key); forwarding is a warmth optimization, so every failure here falls
-// back to local serving rather than erroring.
+// This file is the server side of fleet routing for sessions: a node that
+// receives a session request whose ID hashes to another member forwards it
+// there, one hop at most. A session has a single writer — its journal and
+// live machine belong to one node — so routing every request for it to that
+// node is what keeps concurrent advances from two nodes off one journal.
+// The lb usually lands session requests on their owner directly; forwarding
+// is the correction path for a stale lb view, a client talking to a node
+// directly, or a membership disagreement mid-rehash. Run-shaped requests are
+// never forwarded: any node serves them locally, the shared L2 carries
+// warmth between nodes, and the store lease keeps fleet-wide singleflight.
+// An unreachable owner falls back to local serving (the shared session
+// directory lets any node reopen a session) rather than erroring.
 
 // maxForwardBody bounds a request body buffered for the forward decision;
-// run- and session-shaped request bodies are a few hundred bytes.
+// session request bodies are a few hundred bytes.
 const maxForwardBody = 8 << 20
 
 // bufferBody reads and replaces the request body so the handler can decode
@@ -36,11 +40,11 @@ func bufferBody(r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// forwardOwned routes a keyed request to its ring owner when that is a
+// forwardOwned routes a session request to its ring owner when that is a
 // different node, reporting whether a peer wrote the response. It walks the
 // preference ladder top-down: the first entry that is this node means
 // "serve locally"; an unreachable peer is skipped (and counted) rather than
-// surfaced, because local serving is always a correct fallback.
+// surfaced, because local serving is the fallback.
 func (s *Server) forwardOwned(w http.ResponseWriter, r *http.Request, key string, body []byte) bool {
 	if s.ring == nil {
 		return false

@@ -20,12 +20,13 @@ type fleetNode struct {
 	url string
 }
 
-// newFleet boots n fleet members that know each other through the ring and
-// share the L2 directory store (and, when sessionDir is non-empty, one
-// session directory — the shared-storage topology the CI lane uses).
-// Listeners are created first so every node's Config can name the full
-// membership before any of them serves.
-func newFleet(t *testing.T, n int, sessionDir string) []*fleetNode {
+// newFleet boots n fleet members that share the L2 directory store (and,
+// when sessionDir is non-empty, one session directory — the shared-storage
+// topology the CI lane uses). With ring set they also know each other
+// through the rendezvous ring; without it every node serves solo and only
+// the shared L2 ties them together. Listeners are created first so every
+// node's Config can name the full membership before any of them serves.
+func newFleet(t *testing.T, n int, sessionDir string, ring bool) []*fleetNode {
 	t.Helper()
 	l2dir := t.TempDir()
 	nodes := make([]*fleetNode, n)
@@ -36,17 +37,19 @@ func newFleet(t *testing.T, n int, sessionDir string) []*fleetNode {
 		peers[i] = nodes[i].url
 	}
 	for i, nd := range nodes {
-		nd.srv = New(Config{
+		cfg := Config{
 			Workers: 2,
-			// A key's owner absorbs the whole fleet's traffic for that key
+			// A session's owner absorbs the whole fleet's traffic for it
 			// (direct + forwarded); give the gate room for the fan-in.
 			QueueDepth: 32,
 			CacheDir:   t.TempDir(),
 			SessionDir: sessionDir,
-			FleetSelf:  peers[i],
-			FleetPeers: peers,
 			L2:         experiments.NewBlobCache(l2dir),
-		})
+		}
+		if ring {
+			cfg.FleetSelf, cfg.FleetPeers = peers[i], peers
+		}
+		nd.srv = New(cfg)
 		nd.ts.Config.Handler = nd.srv.Handler()
 		nd.ts.Start()
 		t.Cleanup(nd.ts.Close)
@@ -66,124 +69,79 @@ func fleetFresh(nodes []*fleetNode) int {
 	return total
 }
 
-// TestFleetForwardingRoutesToOneOwner is the ring contract over HTTP: the
-// same run request sent to every node lands on one owner (every response
-// names the same X-LightWSP-Served-By), answers byte-identically, and the
-// fleet executes exactly one fresh simulation.
-func TestFleetForwardingRoutesToOneOwner(t *testing.T) {
-	nodes := newFleet(t, 3, "")
+// TestFleetRunServedLocallyOnce sends the same run request to every node
+// concurrently, with and without the ring: each node answers itself (its
+// own X-LightWSP-Served-By; no Served-By when solo), every answer is
+// byte-identical, and the store lease over the shared L2 holds the fleet to
+// exactly one fresh simulation. Runs are never forwarded, so the ring must
+// not change the outcome.
+func TestFleetRunServedLocallyOnce(t *testing.T) {
+	for _, ring := range []bool{true, false} {
+		name := "ring"
+		if !ring {
+			name = "no-ring"
+		}
+		t.Run(name, func(t *testing.T) {
+			nodes := newFleet(t, 3, "", ring)
 
-	const perNode = 3
-	type answer struct {
-		body     []byte
-		servedBy string
-	}
-	answers := make([]answer, len(nodes)*perNode)
-	var wg sync.WaitGroup
-	for i, nd := range nodes {
-		for j := 0; j < perNode; j++ {
-			wg.Add(1)
-			go func(slot int, url string) {
-				defer wg.Done()
-				status, body, hdr := post(t, url+"/v1/run", fuzzStRun)
-				if status != http.StatusOK {
-					t.Errorf("run via %s: status %d: %s", url, status, body)
-					return
+			const perNode = 3
+			bodies := make([][]byte, len(nodes)*perNode)
+			var wg sync.WaitGroup
+			for i, nd := range nodes {
+				want := ""
+				if ring {
+					want = nd.url
 				}
-				answers[slot] = answer{body: body, servedBy: hdr.Get(fleet.ServedByHeader)}
-			}(i*perNode+j, nd.url)
-		}
-	}
-	wg.Wait()
-
-	for i := 1; i < len(answers); i++ {
-		if !bytes.Equal(answers[0].body, answers[i].body) {
-			t.Fatalf("answer %d differs:\n%s\n%s", i, answers[0].body, answers[i].body)
-		}
-		if answers[i].servedBy != answers[0].servedBy {
-			t.Fatalf("answer %d served by %q, answer 0 by %q — key has two owners",
-				i, answers[i].servedBy, answers[0].servedBy)
-		}
-	}
-	if answers[0].servedBy == "" {
-		t.Fatal("fleet responses missing the Served-By header")
-	}
-	if got := fleetFresh(nodes); got != 1 {
-		t.Fatalf("fleet ran %d fresh simulations for one key, want exactly 1", got)
-	}
-}
-
-// TestFleetLeaseSingleflightWithoutRing drops the ring and keeps only the
-// shared L2: three solo nodes hit with the same request concurrently must
-// still simulate exactly once fleet-wide, arbitrated by the store lease,
-// with every answer byte-identical. This is the topology a fleet degrades
-// to when forwarding is unavailable, so it has to hold on its own.
-func TestFleetLeaseSingleflightWithoutRing(t *testing.T) {
-	l2dir := t.TempDir()
-	nodes := make([]*fleetNode, 3)
-	for i := range nodes {
-		srv, ts := newTestServer(t, Config{
-			Workers:  2,
-			CacheDir: t.TempDir(),
-			L2:       experiments.NewBlobCache(l2dir),
-		})
-		nodes[i] = &fleetNode{srv: srv, ts: ts, url: ts.URL}
-	}
-
-	bodies := make([][]byte, len(nodes))
-	var wg sync.WaitGroup
-	for i, nd := range nodes {
-		wg.Add(1)
-		go func(i int, url string) {
-			defer wg.Done()
-			status, body, _ := post(t, url+"/v1/run", fuzzStRun)
-			if status != http.StatusOK {
-				t.Errorf("node %d: status %d: %s", i, status, body)
+				for j := 0; j < perNode; j++ {
+					wg.Add(1)
+					go func(slot int, url, want string) {
+						defer wg.Done()
+						status, body, hdr := post(t, url+"/v1/run", fuzzStRun)
+						if status != http.StatusOK {
+							t.Errorf("run via %s: status %d: %s", url, status, body)
+							return
+						}
+						if got := hdr.Get(fleet.ServedByHeader); got != want {
+							t.Errorf("run via %s served by %q, want %q", url, got, want)
+						}
+						if hdr.Get(fleet.ForwardedHeader) != "" {
+							t.Errorf("run via %s was forwarded", url)
+						}
+						bodies[slot] = body
+					}(i*perNode+j, nd.url, want)
+				}
+			}
+			wg.Wait()
+			if t.Failed() {
 				return
 			}
-			bodies[i] = body
-		}(i, nd.url)
-	}
-	wg.Wait()
-
-	for i := 1; i < len(bodies); i++ {
-		if !bytes.Equal(bodies[0], bodies[i]) {
-			t.Fatalf("node %d answer differs:\n%s\n%s", i, bodies[0], bodies[i])
-		}
-	}
-	if got := fleetFresh(nodes); got != 1 {
-		t.Fatalf("%d fresh simulations across solo nodes sharing L2, want exactly 1 (lease singleflight)", got)
+			for i := 1; i < len(bodies); i++ {
+				if !bytes.Equal(bodies[0], bodies[i]) {
+					t.Fatalf("answer %d differs:\n%s\n%s", i, bodies[0], bodies[i])
+				}
+			}
+			if got := fleetFresh(nodes); got != 1 {
+				t.Fatalf("fleet ran %d fresh simulations for one key, want exactly 1 (lease singleflight)", got)
+			}
+		})
 	}
 }
 
-// TestFleetNodeKillRehash kills a run key's owner and re-asks a survivor:
-// the forward fails, the survivor serves locally, and the shared L2 hands
-// it the owner's cached result — byte-identical, zero new simulations.
+// TestFleetNodeKillRehash kills the node that served a run and re-asks the
+// survivors: each serves locally, and the shared L2 hands it the dead
+// node's cached result — byte-identical, zero new simulations.
 func TestFleetNodeKillRehash(t *testing.T) {
-	nodes := newFleet(t, 3, "")
+	nodes := newFleet(t, 3, "", true)
 
 	status, first, hdr := post(t, nodes[0].url+"/v1/run", fuzzStRun)
 	if status != http.StatusOK {
 		t.Fatalf("first run: status %d: %s", status, first)
 	}
-	owner := hdr.Get(fleet.ServedByHeader)
-	if owner == "" {
-		t.Fatal("first response missing Served-By")
+	if got := hdr.Get(fleet.ServedByHeader); got != nodes[0].url {
+		t.Fatalf("first run served by %q, want the node asked (%s)", got, nodes[0].url)
 	}
-
-	var victim *fleetNode
-	survivors := nodes[:0:0]
-	for _, nd := range nodes {
-		if nd.url == owner {
-			victim = nd
-		} else {
-			survivors = append(survivors, nd)
-		}
-	}
-	if victim == nil || len(survivors) != 2 {
-		t.Fatalf("owner %q is not a fleet member", owner)
-	}
-	victim.ts.Close()
+	nodes[0].ts.Close()
+	survivors := nodes[1:]
 
 	for _, nd := range survivors {
 		status, body, hdr := post(t, nd.url+"/v1/run", fuzzStRun)
@@ -191,12 +149,10 @@ func TestFleetNodeKillRehash(t *testing.T) {
 			t.Fatalf("post-kill run via %s: status %d: %s", nd.url, status, body)
 		}
 		if !bytes.Equal(first, body) {
-			t.Fatalf("rehashed answer differs from the owner's:\n%s\n%s", first, body)
+			t.Fatalf("survivor's answer differs from the dead node's:\n%s\n%s", first, body)
 		}
-		// The key's new owner is one of the survivors; a non-owner survivor
-		// forwards there. Either way the dead node must not be named.
-		if got := hdr.Get(fleet.ServedByHeader); got == "" || got == owner {
-			t.Fatalf("post-kill request served by %q (dead owner %q)", got, owner)
+		if got := hdr.Get(fleet.ServedByHeader); got != nd.url {
+			t.Fatalf("post-kill request via %s served by %q", nd.url, got)
 		}
 	}
 	if got := fleetFresh(survivors); got != 0 {
@@ -210,7 +166,7 @@ func TestFleetNodeKillRehash(t *testing.T) {
 // and replay its stream byte-identically.
 func TestFleetSessionResumesOnNewOwner(t *testing.T) {
 	sessionDir := t.TempDir()
-	nodes := newFleet(t, 3, sessionDir)
+	nodes := newFleet(t, 3, sessionDir, true)
 
 	create := SessionCreateRequest{
 		ID: "fleet-sess", Suite: "cpu2006", App: "fuzz-st",

@@ -74,9 +74,10 @@ type Config struct {
 	// node serves solo; set it together with FleetPeers to join a fleet.
 	FleetSelf string
 	// FleetPeers is the full fleet membership, FleetSelf included. Every
-	// node is configured with the same list; a request whose routing key
+	// node is configured with the same list; a session request whose ID
 	// hashes to another member is forwarded there (one hop, loop-guarded
-	// by the X-LightWSP-Forwarded header).
+	// by the X-LightWSP-Forwarded header). Run requests are always served
+	// locally.
 	FleetPeers []string
 	// L2 is the shared second storage tier behind the local disk cache:
 	// results and session snapshots written locally also publish here,
@@ -107,9 +108,10 @@ type Server struct {
 	blobs      experiments.Store
 
 	// Fleet: the rendezvous ring over FleetPeers (nil when solo), this
-	// node's own identity on it, and the client forwards ride. The client
-	// has no timeout — forwards carry NDJSON streams that legitimately
-	// run for minutes; the request context still bounds every forward.
+	// node's own identity on it, and the client session forwards ride. The
+	// client has no timeout — forwarded advances carry NDJSON streams that
+	// legitimately run for minutes; the request context still bounds every
+	// forward.
 	ring             *fleet.Ring
 	self             string
 	fleetHC          *http.Client
@@ -193,13 +195,11 @@ func New(cfg Config) *Server {
 	}
 	s.runner = experiments.NewRunner()
 	s.runner.SetWorkers(cfg.Workers)
-	s.runner.SetCacheDir(cfg.CacheDir)
 	s.runner.SetProgress(cfg.Progress)
 	if cfg.TimelineDir != "" {
 		s.runner.SetTimelineDir(cfg.TimelineDir)
 	}
 	s.initStores()
-	s.runner.SetStorageObserver(s.log, s.storage)
 	s.pool = s.runner.Pool()
 	if cfg.FleetSelf != "" && len(cfg.FleetPeers) > 0 {
 		s.self = cfg.FleetSelf
@@ -219,34 +219,36 @@ func New(cfg Config) *Server {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// initStores builds the storage tiers: the local disk cache (L1), the
+// initStores builds the storage tiers once: the local disk cache (L1), the
 // optional shared L2 behind it, and the runner's view of the pair. With an
 // L2 configured the runner resolves through the tiered store — its writes
 // publish to both tiers and its misses read through the fleet's shared
 // cache — which is what makes every node's result cache one coherent whole.
+// The runner, the fuzzing verdicts and the /v1/blob peer API all share these
+// stores, so every directory has exactly one BlobCache over it.
 func (s *Server) initStores() {
 	if s.cfg.CacheDir != "" {
 		s.localBlobs = experiments.NewBlobCache(s.cfg.CacheDir)
 		s.localBlobs.SetObserver(s.log, s.storage)
 		s.blobs = s.localBlobs
 	}
-	if s.cfg.L2 == nil {
-		return
+	if s.cfg.L2 != nil {
+		if o, ok := s.cfg.L2.(interface {
+			SetObserver(*slog.Logger, *experiments.StorageCounters)
+		}); ok {
+			o.SetObserver(s.log, s.storage)
+		}
+		if s.localBlobs != nil {
+			s.tiered = experiments.NewTieredStore(s.localBlobs, s.cfg.L2)
+			s.blobs = s.tiered
+		} else {
+			// No local cache directory: the shared tier serves alone.
+			s.blobs = s.cfg.L2
+		}
 	}
-	if o, ok := s.cfg.L2.(interface {
-		SetObserver(*slog.Logger, *experiments.StorageCounters)
-	}); ok {
-		o.SetObserver(s.log, s.storage)
+	if s.blobs != nil {
+		s.runner.SetStore(s.blobs)
 	}
-	if s.localBlobs != nil {
-		s.tiered = experiments.NewTieredStore(s.localBlobs, s.cfg.L2)
-		s.blobs = s.tiered
-		s.runner.SetStore(s.tiered)
-		return
-	}
-	// No local cache directory: the shared tier serves alone.
-	s.blobs = s.cfg.L2
-	s.runner.SetStore(s.cfg.L2)
 }
 
 // Drain gracefully retires the server: new requests are refused with 503,

@@ -8,7 +8,6 @@ import (
 	"lightwsp/internal/compiler"
 	"lightwsp/internal/core"
 	"lightwsp/internal/experiments"
-	"lightwsp/internal/fleet"
 	"lightwsp/internal/machine"
 	"lightwsp/internal/metrics"
 	"lightwsp/internal/probe"
@@ -76,17 +75,9 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	body, err := bufferBody(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
 	var req RunRequest
 	if err := decode(r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	if s.forwardOwned(w, r, fleet.RunRouteKey(req.Suite, req.App, req.Scheme), body) {
 		return
 	}
 	p, ok := lookupProfile(w, req.Suite, req.App)

@@ -182,7 +182,7 @@ func (s *Server) WriteProm(w io.Writer) error {
 		ringSize = s.ring.Len()
 	}
 	gauge("lightwsp_fleet_ring_size", "Fleet members this node routes across (0 when solo).", float64(ringSize))
-	p.Family("lightwsp_fleet_forwards_total", "counter", "Requests forwarded between fleet nodes, by direction.")
+	p.Family("lightwsp_fleet_forwards_total", "counter", "Session requests forwarded between fleet nodes, by direction.")
 	p.Sample("lightwsp_fleet_forwards_total", []metrics.Label{{Name: "direction", Value: "in"}}, float64(s.forwardsIn.Load()))
 	p.Sample("lightwsp_fleet_forwards_total", []metrics.Label{{Name: "direction", Value: "out"}}, float64(s.forwardsOut.Load()))
 	counter("lightwsp_fleet_forward_fallbacks_total", "Forwards served locally because every better-ranked peer was unreachable.", float64(s.forwardFallbacks.Load()))

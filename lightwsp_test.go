@@ -105,12 +105,12 @@ func TestFacadeSchemesRun(t *testing.T) {
 	for _, sch := range []lightwsp.Scheme{
 		lightwsp.BaselineScheme(), lightwsp.PSPIdealScheme(), lightwsp.PPAScheme(),
 	} {
-		sys, err := lightwsp.NewSystem(p, lightwsp.DefaultConfig(), sch)
+		rt, err := lightwsp.Open(p, lightwsp.WithScheme(sch))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sys.Run(500_000_000) {
-			t.Fatalf("%s did not complete", sch.Name)
+		if _, err := rt.Run(context.Background(), 500_000_000); err != nil {
+			t.Fatalf("%s did not complete: %v", sch.Name, err)
 		}
 	}
 }
