@@ -1,18 +1,18 @@
 // Command lightwsp-lb fronts a fleet of lightwsp-serve nodes with one
-// health-aware, cache-affine entry point:
+// health-aware entry point:
 //
 //	lightwsp-lb -addr :8080 \
 //	    -nodes http://10.0.0.1:8081,http://10.0.0.2:8081,http://10.0.0.3:8081
 //
-// Requests route by the same rendezvous ring the nodes themselves use — run
-// requests by workload identity, session operations by session ID — so each
-// key's traffic lands on the node whose cache is warm for it. A background
-// poller probes every node's /healthz and /stats; an unhealthy or draining
-// node leaves the ring (its keys rehash onto survivors, who refill from the
-// shared L2 store), and a node that dies between polls is ejected the
-// moment a proxy attempt fails, with the request failing over down the
-// key's preference ladder. Backend admission decisions (429 + Retry-After)
-// pass through verbatim: backpressure stays with the nodes.
+// Session operations route by session ID on the same rendezvous ring the
+// nodes themselves use, so each session lands on its single writer; runs
+// and everything else go round-robin, since any node serves any run and the
+// shared L2 store carries results between nodes. A background poller probes
+// every node's /healthz and /stats; an unhealthy or draining node leaves the
+// ring (its sessions rehash onto survivors), and a node that dies between
+// polls is ejected the moment a proxy attempt fails, with the request
+// failing over to the next candidate. Backend admission decisions (429 +
+// Retry-After) pass through verbatim: backpressure stays with the nodes.
 //
 // The lb serves its own /healthz (200 while at least one backend is in the
 // ring), /lb/status (per-node probe state as JSON) and /metrics (Prometheus

@@ -59,26 +59,33 @@ func NewRuntime(prog *isa.Program, ccfg compiler.Config, mcfg machine.Config) (*
 }
 
 // NewRuntimeFor builds a runtime for an arbitrary scheme: instrumented
-// schemes compile prog first (a zero ccfg.StoreThreshold resolves to half
-// the WPQ size), uninstrumented ones run it as built. sink, when non-nil,
-// is attached to every system the runtime boots.
+// schemes compile prog first (under CompilerDefaults), uninstrumented ones
+// run it as built. sink, when non-nil, is attached to every system the
+// runtime boots.
 func NewRuntimeFor(prog *isa.Program, ccfg compiler.Config, mcfg machine.Config, sch machine.Scheme, sink probe.Sink) (*Runtime, error) {
 	rt := &Runtime{Cfg: mcfg, Sch: sch, Probe: sink, prog: prog}
 	if !sch.Instrumented {
 		return rt, nil
 	}
+	res, err := compiler.Compile(prog, CompilerDefaults(ccfg, mcfg))
+	if err != nil {
+		return nil, err
+	}
+	rt.Compiled = res
+	return rt, nil
+}
+
+// CompilerDefaults applies the §IV-A region-size rule: a zero
+// StoreThreshold becomes half of mcfg's WPQ, and a zero MaxUnroll then
+// takes the compiler's default. A non-zero threshold is kept as given.
+func CompilerDefaults(ccfg compiler.Config, mcfg machine.Config) compiler.Config {
 	if ccfg.StoreThreshold == 0 {
 		ccfg.StoreThreshold = mcfg.WPQEntries / 2
 		if ccfg.MaxUnroll == 0 {
 			ccfg.MaxUnroll = compiler.DefaultConfig().MaxUnroll
 		}
 	}
-	res, err := compiler.Compile(prog, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	rt.Compiled = res
-	return rt, nil
+	return ccfg
 }
 
 // Prog returns the program a booted system will run: the compiler's output
@@ -133,55 +140,42 @@ func (rt *Runtime) Run(ctx context.Context, maxCycles uint64) (*machine.System, 
 	return sys, nil
 }
 
-// CheckpointResult is one planned power failure: the drain report, the
-// durable crash image, and the successor machine already recovered from it.
-type CheckpointResult struct {
-	// Report is the §IV-F drain summary.
-	Report machine.FailureReport
-	// Image is the persisted image exactly as the drain left it — cloned
-	// before recovery's undo rollback mutates the machine's copy, so it is
-	// byte-for-byte what a snapshot store should persist. Recovering from a
-	// deserialized copy of it reproduces System.
-	Image *mem.Image
-	// System is the recovered successor, resuming each thread at its latest
-	// persisted region boundary. The checkpointed machine is dead.
-	System *machine.System
-}
-
-// Checkpoint executes a planned power failure on sys: drain via the §IV-F
-// protocol, capture the durable crash image, and boot the recovered
-// successor. This is how a durable session snapshots a live machine — the
-// snapshot point is a real power-failure cut, so resuming from the stored
-// image later replays the identical trajectory the successor ran. sys is
-// dead afterwards; continue on the returned System.
-func (rt *Runtime) Checkpoint(sys *machine.System) (*CheckpointResult, error) {
+// Cut is the power-cut step every outage takes, planned or not: sys
+// drains by the §IV-F protocol (PowerFail), hook — when non-nil — sees the
+// drained image before recovery's undo rollback mutates it, and the
+// successor boots from that image with the runtime's probe sink, resuming
+// each thread at its latest unpersisted region. sys is dead afterwards;
+// continue on the returned system, and read the drain report from the
+// second result. Cut never copies the image: a hook that keeps it must
+// clone it. A hook error aborts the step before recovery.
+func (rt *Runtime) Cut(sys *machine.System, hook func(*mem.Image) error) (*machine.System, machine.FailureReport, error) {
 	rep := sys.PowerFail()
-	img := sys.PM().Clone()
-	rec, err := rt.Recover(sys.PM(), rep.RegionCounter)
-	if err != nil {
-		return nil, err
+	if hook != nil {
+		if err := hook(sys.PM()); err != nil {
+			return nil, rep, err
+		}
 	}
-	return &CheckpointResult{Report: rep, Image: img, System: rec}, nil
+	rec, err := rt.Recover(sys.PM(), rep.RegionCounter)
+	return rec, rep, err
 }
 
-// CrashResult reports one crash/recover round trip.
+// CrashResult reports a run through one or more power cuts.
 type CrashResult struct {
-	// Failed is false if execution completed before the injection point
-	// (no failure happened).
+	// Failed is false if execution completed before the first cut (no
+	// failure happened).
 	Failed bool
-	// Report is the §IV-F drain summary.
+	// Report is the §IV-F drain summary of the last cut.
 	Report machine.FailureReport
-	// Recovered is the post-recovery system, run to completion; when no
-	// failure happened it is the original system.
+	// Recovered is the final system, run to completion; when no failure
+	// happened it is the original system.
 	Recovered *machine.System
-	// Rollbacks counts crash/recover rounds executed (1 for a single
-	// injection).
+	// Rollbacks counts the cuts that fired (1 for a single injection).
 	Rollbacks int
 }
 
-// RunWithFailure runs the program, cuts power at failCycle, drains, recovers
-// and runs the recovered system to completion. If the program finishes
-// before failCycle, no failure is injected. Cancellation is honored at
+// RunWithFailure runs the program, cuts power at failCycle, recovers and
+// runs the recovered system to completion. If the program finishes before
+// failCycle, no failure is injected. Cancellation is honored at
 // cycle-batch granularity in both the pre-failure and recovered runs.
 func (rt *Runtime) RunWithFailure(ctx context.Context, failCycle, maxCycles uint64) (*CrashResult, error) {
 	sys, err := rt.NewSystem()
@@ -195,8 +189,7 @@ func (rt *Runtime) RunWithFailure(ctx context.Context, failCycle, maxCycles uint
 	if done {
 		return &CrashResult{Failed: false, Recovered: sys}, nil
 	}
-	rep := sys.PowerFail()
-	rec, err := rt.Recover(sys.PM(), rep.RegionCounter)
+	rec, rep, err := rt.Cut(sys, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -228,6 +221,19 @@ func (rt *Runtime) RunWithRepeatedFailures(ctx context.Context, interval, maxCyc
 	res := &CrashResult{}
 	stagnant := 0
 	lastFingerprint := ""
+	// stall watches the drained image: if the persisted resume state stops
+	// changing across rounds, recovery is not advancing.
+	stall := func(pm *mem.Image) error {
+		if fp := recoveryFingerprint(pm, rt.Cfg.Threads); fp != lastFingerprint {
+			lastFingerprint, stagnant = fp, 0
+			return nil
+		}
+		if stagnant++; stagnant >= 8 {
+			return fmt.Errorf("core: failure interval %d too short to persist a region (no progress over %d rounds): %w",
+				interval, stagnant, wsperr.ErrUnrecoverable)
+		}
+		return nil
+	}
 	for round := 0; ; round++ {
 		if round > int(maxCycles/interval)+1 {
 			return nil, fmt.Errorf("core: no forward progress after %d failure rounds: %w", round, wsperr.ErrUnrecoverable)
@@ -240,51 +246,20 @@ func (rt *Runtime) RunWithRepeatedFailures(ctx context.Context, interval, maxCyc
 			res.Recovered = sys
 			return res, nil
 		}
-		rep := sys.PowerFail()
 		res.Failed = true
-		res.Report = rep
 		res.Rollbacks++
-		if fp := recoveryFingerprint(sys, rt.Cfg.Threads); fp == lastFingerprint {
-			stagnant++
-			if stagnant >= 8 {
-				return nil, fmt.Errorf("core: failure interval %d too short to persist a region (no progress over %d rounds): %w",
-					interval, stagnant, wsperr.ErrUnrecoverable)
-			}
-		} else {
-			lastFingerprint, stagnant = fp, 0
-		}
-		sys, err = rt.Recover(sys.PM(), rep.RegionCounter)
-		if err != nil {
+		if sys, res.Report, err = rt.Cut(sys, stall); err != nil {
 			return nil, err
 		}
 	}
 }
 
-// recoveryFingerprint summarizes the persisted resume state; if it stops
-// changing across failure rounds, recovery is not advancing.
-func recoveryFingerprint(sys *machine.System, threads int) string {
-	fp := fmt.Sprintf("%d", sys.PM().Len())
+// recoveryFingerprint summarizes the persisted resume state of a drained
+// image.
+func recoveryFingerprint(pm *mem.Image, threads int) string {
+	fp := fmt.Sprintf("%d", pm.Len())
 	for t := 0; t < threads; t++ {
-		fp += fmt.Sprintf(":%x", sys.PM().Read(mem.CkptAddr(t, mem.CkptSlotPC)))
+		fp += fmt.Sprintf(":%x", pm.Read(mem.CkptAddr(t, mem.CkptSlotPC)))
 	}
 	return fp
-}
-
-// VerifyCrashConsistency runs the program once failure-free and once with a
-// failure at failCycle, and checks that the final persisted program data is
-// identical (DESIGN.md invariant 5). It returns the failure-free system for
-// further inspection.
-func (rt *Runtime) VerifyCrashConsistency(ctx context.Context, failCycle, maxCycles uint64) (*machine.System, error) {
-	clean, err := rt.Run(ctx, maxCycles)
-	if err != nil {
-		return nil, err
-	}
-	crashed, err := rt.RunWithFailure(ctx, failCycle, maxCycles)
-	if err != nil {
-		return nil, err
-	}
-	if err := recovery.VerifyEquivalence(crashed.Recovered.PM(), clean.PM()); err != nil {
-		return nil, fmt.Errorf("failure at cycle %d: %w", failCycle, err)
-	}
-	return clean, nil
 }

@@ -45,6 +45,7 @@ import (
 	"lightwsp/internal/faults"
 	"lightwsp/internal/machine"
 	"lightwsp/internal/mem"
+	"lightwsp/internal/recovery"
 	"lightwsp/internal/stats"
 	"lightwsp/internal/workload"
 	"lightwsp/internal/wsperr"
@@ -76,7 +77,8 @@ type Config struct {
 	// overridden from the profile.
 	Machine machine.Config
 	// Compiler configures region formation; a zero StoreThreshold resolves
-	// to half the WPQ size (§IV-A), exactly as the experiments Runner does.
+	// to half the WPQ size (§IV-A), exactly as the experiments Runner does
+	// (experiments.Resolve).
 	Compiler compiler.Config
 
 	// ExhaustiveThreshold, MaxInjections and MaxInteresting tune the
@@ -242,34 +244,15 @@ func (rs Results) String() string {
 }
 
 // RunContext is Run with cancellation: when ctx ends, no further schedules
-// are dispatched, in-flight replays run to completion (individual replays are
-// short), and the campaign returns an error wrapping wsperr.ErrCanceled
-// instead of a partial manifest.
+// are dispatched, in-flight replays stop at their next cycle batch, and the
+// campaign returns an error wrapping wsperr.ErrCanceled instead of a partial
+// manifest.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	start := time.Now()
 	p := cfg.Profile
 
-	mcfg := cfg.Machine
-	if mcfg.Cores == 0 {
-		mcfg = experiments.ScaledConfig()
-	}
-	if p.Threads > 0 {
-		mcfg.Threads = p.Threads
-	}
-	if mcfg.Threads < 1 {
-		mcfg.Threads = 1
-	}
-	if mcfg.Threads > mcfg.Cores {
-		mcfg.Cores = mcfg.Threads
-	}
-	ccfg := cfg.Compiler
-	if ccfg.StoreThreshold == 0 {
-		ccfg.StoreThreshold = mcfg.WPQEntries / 2
-		if ccfg.MaxUnroll == 0 {
-			ccfg.MaxUnroll = compiler.DefaultConfig().MaxUnroll
-		}
-	}
-	rt, err := buildRuntime(p, ccfg, mcfg)
+	mcfg, ccfg := experiments.Resolve(cfg.Machine, p, cfg.Compiler)
+	rt, err := experiments.NewRuntime(p, core.Scheme(), mcfg, ccfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +293,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := pool.DoCtx(ctx, func() { outcomes[i] = c.resolve(scheds[i]) }); err != nil {
+			if err := pool.DoCtx(ctx, func() { outcomes[i] = c.resolve(ctx, scheds[i]) }); err != nil {
 				outcomes[i] = outcome{err: err}
 			}
 		}()
@@ -376,7 +359,7 @@ type outcome struct {
 
 // resolve replays one schedule: cached verdict, or replay + verdict, with
 // shrinking on divergence.
-func (c *campaign) resolve(sched Schedule) outcome {
+func (c *campaign) resolve(ctx context.Context, sched Schedule) outcome {
 	defer c.tick()
 	vkey, vhash := c.verdictKey(sched)
 	useCache := c.cfg.Cache != nil && c.cfg.CorruptPM == nil
@@ -386,31 +369,36 @@ func (c *campaign) resolve(sched Schedule) outcome {
 			return outcome{cached: true, fired: e.Fired}
 		}
 	}
-	rep, err := Replay(c.rt, sched, c.maxCycles, c.cfg.CorruptPM, c.cfg.Faults)
+	rep, err := Replay(ctx, c.rt, sched, c.maxCycles, c.cfg.CorruptPM, c.cfg.Faults)
 	if err != nil {
 		return outcome{err: err}
 	}
-	if verr := verdict(rep.Sys, c.orc, c.mcfg.Threads); verr != nil {
-		return c.diverge(sched, rep, verr)
+	if verr := c.verdict(rep); verr != nil {
+		return c.diverge(ctx, sched, rep, verr)
 	}
 	if useCache {
-		experiments.VerdictCodec.Store(c.cfg.Cache, vhash, vkey, verdictEntry{Fired: rep.Fired})
+		experiments.VerdictCodec.Store(c.cfg.Cache, vhash, vkey, verdictEntry{Fired: rep.Rollbacks})
 	}
-	return outcome{fired: rep.Fired}
+	return outcome{fired: rep.Rollbacks}
+}
+
+// verdict applies the shared crash verdict against the campaign's oracle.
+func (c *campaign) verdict(rep *core.CrashResult) error {
+	return recovery.VerifyCrash(rep.Recovered, c.orc.pm, c.mcfg.Threads)
 }
 
 // diverge shrinks a failing schedule — first the cut cycles, then the fault
 // plan's knobs — and packages the minimal reproducer.
-func (c *campaign) diverge(sched Schedule, rep *ReplayResult, verr error) outcome {
-	fired := rep.Fired
+func (c *campaign) diverge(ctx context.Context, sched Schedule, rep *core.CrashResult, verr error) outcome {
+	fired := rep.Rollbacks
 	probes := 0
 	failsWith := func(s Schedule, plan faults.Plan) bool {
-		r, err := Replay(c.rt, s, c.maxCycles, c.cfg.CorruptPM, plan)
+		r, err := Replay(ctx, c.rt, s, c.maxCycles, c.cfg.CorruptPM, plan)
 		if err != nil {
 			return false // a broken replay is not a reproduction
 		}
-		fired += r.Fired
-		return verdict(r.Sys, c.orc, c.mcfg.Threads) != nil
+		fired += r.Rollbacks
+		return c.verdict(r) != nil
 	}
 	minimal, n := Shrink(sched, func(s Schedule) bool {
 		return failsWith(s, c.cfg.Faults)
@@ -422,8 +410,8 @@ func (c *campaign) diverge(sched Schedule, rep *ReplayResult, verr error) outcom
 	probes += n
 	// Re-derive the minimal reproducer's diff for the repro file.
 	diff := verr
-	if mrep, err := Replay(c.rt, minimal, c.maxCycles, c.cfg.CorruptPM, plan); err == nil {
-		if merr := verdict(mrep.Sys, c.orc, c.mcfg.Threads); merr != nil {
+	if mrep, err := Replay(ctx, c.rt, minimal, c.maxCycles, c.cfg.CorruptPM, plan); err == nil {
+		if merr := c.verdict(mrep); merr != nil {
 			diff = merr
 		}
 	}

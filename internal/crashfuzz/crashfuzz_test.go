@@ -1,12 +1,15 @@
 package crashfuzz
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"lightwsp/internal/core"
 	"lightwsp/internal/experiments"
 	"lightwsp/internal/mem"
+	"lightwsp/internal/recovery"
 	"lightwsp/internal/workload"
 )
 
@@ -138,7 +141,7 @@ func TestBrokenRecoveryCaughtAndShrunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := buildRuntime(r.Profile, r.Compiler, r.Machine)
+	rt, err := experiments.NewRuntime(r.Profile, core.Scheme(), r.Machine, r.Compiler, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,20 +153,20 @@ func TestBrokenRecoveryCaughtAndShrunk(t *testing.T) {
 		t.Fatalf("repro oracle (%d cycles, %s) does not match this tree (%d cycles, %s)",
 			r.OracleCycles, r.OracleHash, orc.cycles, orc.hash)
 	}
-	rep, err := Replay(rt, r.Cuts, maxReplayCycles, corrupt, r.Faults)
+	rep, err := Replay(context.Background(), rt, r.Cuts, maxReplayCycles, corrupt, r.Faults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if verdict(rep.Sys, orc, r.Machine.Threads) == nil {
+	if recovery.VerifyCrash(rep.Recovered, orc.pm, r.Machine.Threads) == nil {
 		t.Fatalf("shrunk repro %v no longer fails", r.Cuts)
 	}
 	// Without the corruption the same schedule passes: the harness blamed
 	// the broken recovery, not the machine.
-	rep, err = Replay(rt, r.Cuts, maxReplayCycles, nil, r.Faults)
+	rep, err = Replay(context.Background(), rt, r.Cuts, maxReplayCycles, nil, r.Faults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := verdict(rep.Sys, orc, r.Machine.Threads); err != nil {
+	if err := recovery.VerifyCrash(rep.Recovered, orc.pm, r.Machine.Threads); err != nil {
 		t.Fatalf("schedule %v fails even with healthy recovery: %v", r.Cuts, err)
 	}
 }

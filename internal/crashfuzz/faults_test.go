@@ -1,11 +1,14 @@
 package crashfuzz
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"lightwsp/internal/core"
 	"lightwsp/internal/experiments"
 	"lightwsp/internal/faults"
+	"lightwsp/internal/recovery"
 )
 
 // gauntlet is the combined fabric-fault plan the faulted campaigns run
@@ -162,7 +165,7 @@ func TestBrokenDupAcksCaughtShrunkReplayed(t *testing.T) {
 	// plan pass: the harness blamed the broken bookkeeping, not the fabric.
 	healthy := r.Machine
 	healthy.BrokenDupAcks = false
-	rt, err := buildRuntime(r.Profile, r.Compiler, healthy)
+	rt, err := experiments.NewRuntime(r.Profile, core.Scheme(), healthy, r.Compiler, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +173,11 @@ func TestBrokenDupAcksCaughtShrunkReplayed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Replay(rt, r.Cuts, maxReplayCycles, nil, r.Faults)
+	rep, err := Replay(context.Background(), rt, r.Cuts, maxReplayCycles, nil, r.Faults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := verdict(rep.Sys, orc, healthy.Threads); err != nil {
+	if err := recovery.VerifyCrash(rep.Recovered, orc.pm, healthy.Threads); err != nil {
 		t.Fatalf("schedule %v fails even with healthy ACK bookkeeping: %v", r.Cuts, err)
 	}
 }

@@ -1,13 +1,12 @@
 package crashfuzz
 
 import (
+	"context"
 	"fmt"
 
 	"lightwsp/internal/core"
 	"lightwsp/internal/faults"
-	"lightwsp/internal/machine"
 	"lightwsp/internal/mem"
-	"lightwsp/internal/recovery"
 )
 
 // Schedule is one failure schedule: a sequence of power-cut cycles. Cut i
@@ -29,71 +28,49 @@ func (s Schedule) String() string {
 // clone returns an independent copy.
 func (s Schedule) clone() Schedule { return append(Schedule{}, s...) }
 
-// ReplayResult is one schedule's outcome.
-type ReplayResult struct {
-	// Sys is the final machine, run to completion after the last cut.
-	Sys *machine.System
-	// Fired counts the cuts that actually happened (a schedule can outlive
-	// its program).
-	Fired int
-	// Discarded totals the WPQ entries of unpersisted regions dropped
-	// across all drains.
-	Discarded int
-}
-
 // Replay executes one failure schedule against a compiled runtime: run to
-// each cut cycle, cut power (§IV-F drain), optionally corrupt the crash
-// image (test-only broken-recovery hook), recover, and continue; after the
-// last cut the machine runs to completion. An enabled fault plan attaches a
-// fresh injector to every segment — the initial machine and each recovered
-// one — so each segment's fault pattern depends only on the plan and the
-// segment's own cycle counter, never on earlier cuts; the oracle stays
-// fault-free. Replays are deterministic: the same runtime, schedule and plan
-// always produce the same final machine.
-func Replay(rt *core.Runtime, sched Schedule, maxCycles uint64, corrupt func(*mem.Image), plan faults.Plan) (*ReplayResult, error) {
+// each cut cycle and take the runtime's power-cut step (§IV-F drain, then
+// recovery), with corrupt — the test-only broken-recovery hook — applied to
+// the drained image; after the last cut the machine runs to completion. The
+// result's Rollbacks counts the cuts that fired (a schedule can outlive its
+// program). An enabled fault plan attaches a fresh injector to every
+// segment — the initial machine and each recovered one — so each segment's
+// fault pattern depends only on the plan and the segment's own cycle
+// counter, never on earlier cuts; the oracle stays fault-free. Replays are
+// deterministic: the same runtime, schedule and plan always produce the
+// same final machine. Cancellation is honored at cycle-batch granularity.
+func Replay(ctx context.Context, rt *core.Runtime, sched Schedule, maxCycles uint64, corrupt func(*mem.Image), plan faults.Plan) (*core.CrashResult, error) {
 	sys, err := rt.NewSystem()
 	if err != nil {
 		return nil, err
 	}
 	sys.SetFaultInjector(faults.New(plan))
-	res := &ReplayResult{}
+	var hook func(*mem.Image) error
+	if corrupt != nil {
+		hook = func(pm *mem.Image) error {
+			corrupt(pm)
+			return nil
+		}
+	}
+	res := &core.CrashResult{}
 	for _, cut := range sched {
-		if sys.RunUntil(cut) {
+		done, err := sys.RunUntilContext(ctx, cut)
+		if err != nil {
+			return nil, err
+		}
+		if done {
 			break // completed before the cut could fire
 		}
-		rep := sys.PowerFail()
-		if corrupt != nil {
-			corrupt(sys.PM())
-		}
-		sys, err = rt.Recover(sys.PM(), rep.RegionCounter)
-		if err != nil {
+		if sys, res.Report, err = rt.Cut(sys, hook); err != nil {
 			return nil, fmt.Errorf("crashfuzz: recover after cut at cycle %d: %w", cut, err)
 		}
 		sys.SetFaultInjector(faults.New(plan))
-		res.Fired++
-		res.Discarded += rep.Discarded
+		res.Failed = true
+		res.Rollbacks++
 	}
-	if !sys.Run(maxCycles) {
-		return nil, fmt.Errorf("crashfuzz: replay %v exceeded %d cycles", sched, maxCycles)
+	if err := sys.RunContext(ctx, maxCycles); err != nil {
+		return nil, fmt.Errorf("crashfuzz: replay %v: %w", sched, err)
 	}
-	res.Sys = sys
+	res.Recovered = sys
 	return res, nil
-}
-
-// verdict checks one completed replay against the oracle. Every run must
-// finish with PM ≡ final architectural state on program data; single-
-// threaded runs must additionally match the failure-free oracle word for
-// word (multi-threaded runs can legally reorder commutative critical
-// sections across a recovery, so their final data need not match any one
-// failure-free interleaving).
-func verdict(final *machine.System, orc *oracle, threads int) error {
-	if err := recovery.VerifyPMMatchesArch(final.PM(), final.Arch()); err != nil {
-		return err
-	}
-	if threads == 1 {
-		if err := recovery.VerifyEquivalence(final.PM(), orc.pm); err != nil {
-			return err
-		}
-	}
-	return nil
 }

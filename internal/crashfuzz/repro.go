@@ -1,6 +1,7 @@
 package crashfuzz
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"lightwsp/internal/experiments"
 	"lightwsp/internal/faults"
 	"lightwsp/internal/machine"
+	"lightwsp/internal/recovery"
 	"lightwsp/internal/workload"
 )
 
@@ -94,7 +96,7 @@ func LoadRepro(path string) (*Repro, error) {
 // or was never real). An oracle whose cycle count or hash disagrees with the
 // repro's is reported as an environment mismatch, not a divergence.
 func ReplayRepro(r *Repro) error {
-	rt, err := buildRuntime(r.Profile, r.Compiler, r.Machine)
+	rt, err := experiments.NewRuntime(r.Profile, core.Scheme(), r.Machine, r.Compiler, nil)
 	if err != nil {
 		return err
 	}
@@ -106,22 +108,12 @@ func ReplayRepro(r *Repro) error {
 		return fmt.Errorf("crashfuzz: oracle mismatch: repro recorded %d cycles/%s, this tree produces %d cycles/%s — the simulator changed under the repro",
 			r.OracleCycles, r.OracleHash, orc.cycles, orc.hash)
 	}
-	res, err := Replay(rt, r.Cuts, maxReplayCycles, nil, r.Faults)
+	res, err := Replay(context.Background(), rt, r.Cuts, maxReplayCycles, nil, r.Faults)
 	if err != nil {
 		return err
 	}
-	if err := verdict(res.Sys, orc, r.Machine.Threads); err != nil {
-		return fmt.Errorf("crashfuzz: repro still fails (cuts %v, %d fired): %w", r.Cuts, res.Fired, err)
+	if err := recovery.VerifyCrash(res.Recovered, orc.pm, r.Machine.Threads); err != nil {
+		return fmt.Errorf("crashfuzz: repro still fails (cuts %v, %d fired): %w", r.Cuts, res.Rollbacks, err)
 	}
 	return nil
-}
-
-// buildRuntime rebuilds the compiled LightWSP runtime for a profile under
-// fully resolved configurations.
-func buildRuntime(p workload.Profile, ccfg compiler.Config, mcfg machine.Config) (*core.Runtime, error) {
-	prog, err := workload.Build(p)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewRuntime(prog, ccfg, mcfg)
 }

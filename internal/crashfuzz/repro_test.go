@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lightwsp/internal/compiler"
+	"lightwsp/internal/core"
 	"lightwsp/internal/experiments"
 	"lightwsp/internal/machine"
 	"lightwsp/internal/workload"
@@ -81,7 +82,8 @@ func TestLoadReproRejectsBadFiles(t *testing.T) {
 // `lightwsp-crashfuzz -replay`).
 func TestReplayReproOnHealthyTree(t *testing.T) {
 	p := workload.FuzzSmokeProfiles()[0]
-	rt, err := buildRuntime(p, compiler.Config{}, resolveTestMachine(p))
+	mcfg, ccfg := experiments.Resolve(machine.Config{}, p, compiler.Config{})
+	rt, err := experiments.NewRuntime(p, core.Scheme(), mcfg, ccfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +110,4 @@ func TestReplayReproOnHealthyTree(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "oracle mismatch") {
 		t.Fatalf("stale oracle not flagged: %v", err)
 	}
-}
-
-// resolveTestMachine mirrors Run's machine-config resolution for a profile.
-func resolveTestMachine(p workload.Profile) machine.Config {
-	mcfg := experiments.ScaledConfig()
-	if p.Threads > 0 {
-		mcfg.Threads = p.Threads
-	}
-	if mcfg.Threads > mcfg.Cores {
-		mcfg.Cores = mcfg.Threads
-	}
-	return mcfg
 }

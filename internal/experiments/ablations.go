@@ -130,16 +130,13 @@ func AblationCompiler(r *Runner) (*AblationCompilerResult, error) {
 		row := AblationCompilerRow{Config: cfg.name}
 		var sds []float64
 		for _, p := range ablationSet() {
-			prog, err := workload.Build(p)
+			mcfg, cc := ResolveConfigs(p, cfg.cc)
+			rt, err := NewRuntime(p, LightWSP(), mcfg, cc, nil)
 			if err != nil {
 				return nil, err
 			}
-			cres, err := compiler.Compile(prog, cfg.cc)
-			if err != nil {
-				return nil, err
-			}
-			row.Checkpoints += cres.Stats.Checkpoints
-			row.Boundaries += cres.Stats.Boundaries
+			row.Checkpoints += rt.Compiled.Stats.Checkpoints
+			row.Boundaries += rt.Compiled.Stats.Boundaries
 			sd, err := r.Slowdown(p, LightWSP(), cfg.cc)
 			if err != nil {
 				return nil, err

@@ -107,20 +107,13 @@ func CoreBench(ctx context.Context, profiles []workload.Profile) (*CoreBenchRepo
 // coreBenchOne times one (profile, scheme) cell: naive then fast, equal
 // inputs, verified equal outputs.
 func coreBenchOne(ctx context.Context, p workload.Profile, sch machine.Scheme) (CoreBenchEntry, error) {
-	cfg, ccfg := resolve(p, compiler.Config{}, nil)
-	prog, err := workload.Build(p)
+	cfg, ccfg := ResolveConfigs(p, compiler.Config{})
+	rt, err := NewRuntime(p, sch, cfg, ccfg, nil)
 	if err != nil {
 		return CoreBenchEntry{}, err
 	}
-	if sch.Instrumented {
-		res, err := compiler.Compile(prog, ccfg)
-		if err != nil {
-			return CoreBenchEntry{}, fmt.Errorf("%s/%s: %w", p.Suite, p.Name, err)
-		}
-		prog = res.Prog
-	}
 	run := func(naive bool) (*machine.System, float64, error) {
-		sys, err := machine.NewSystem(prog, cfg, sch)
+		sys, err := rt.NewSystem()
 		if err != nil {
 			return nil, 0, err
 		}

@@ -168,12 +168,12 @@ func TestScrubRemovesStaleEntries(t *testing.T) {
 	write("legacy.json", false, map[string]any{"schema_version": 2, "key": "older", "stats": map[string]any{}})
 	write("valid.json", true, codecEnvelope{Schema: RunCodec.Schema, Version: RunCodec.Version, Key: "current"})
 	write("verdict.json", true, codecEnvelope{Schema: VerdictCodec.Schema, Version: VerdictCodec.Version, Key: "v"})
-	removed, err := Scrub(dir)
+	rep, err := ScrubStore(hostfs.Disk(), dir, ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 2 {
-		t.Fatalf("Scrub removed %d entries, want 2", removed)
+	if removed := rep.Removed() + rep.Quarantined; removed != 2 {
+		t.Fatalf("ScrubStore removed %d entries, want 2", removed)
 	}
 	if len(cacheFiles(t, dir)) != 2 {
 		t.Fatal("valid entries removed or stale entries kept")

@@ -7,7 +7,6 @@ import (
 
 	"lightwsp/internal/baseline"
 	"lightwsp/internal/compiler"
-	"lightwsp/internal/core"
 	"lightwsp/internal/machine"
 	"lightwsp/internal/recovery"
 	"lightwsp/internal/stats"
@@ -227,13 +226,8 @@ func RecoverySweep(pointsPerApp int) (*RecoverySweepResult, error) {
 		if !ok {
 			return nil, fmt.Errorf("profile %s/%s missing", rep.suite, rep.name)
 		}
-		prog, err := workload.Build(p)
-		if err != nil {
-			return nil, err
-		}
-		cfg := ScaledConfig()
-		cfg.Threads = p.Threads
-		rt, err := core.NewRuntime(prog, compiler.Config{}, cfg)
+		cfg, ccfg := ResolveConfigs(p, compiler.Config{})
+		rt, err := NewRuntime(p, LightWSP(), cfg, ccfg, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -254,15 +248,7 @@ func RecoverySweep(pointsPerApp int) (*RecoverySweepResult, error) {
 			}
 			res.Injections++
 			res.TotalRollback += cres.Rollbacks
-			if p.Threads == 1 {
-				if err := recovery.VerifyEquivalence(cres.Recovered.PM(), clean.PM()); err != nil {
-					return nil, fmt.Errorf("%s at cycle %d: %w", rep.name, fail, err)
-				}
-			} else if err := recovery.VerifyPMMatchesArch(cres.Recovered.PM(), cres.Recovered.Arch()); err != nil {
-				// Multi-threaded runs can legally reorder commutative
-				// critical sections across recovery; whole-system
-				// persistence still requires PM ≡ final architectural
-				// state.
+			if err := recovery.VerifyCrash(cres.Recovered, clean.PM(), cfg.Threads); err != nil {
 				return nil, fmt.Errorf("%s at cycle %d: %w", rep.name, fail, err)
 			}
 			res.Verified++

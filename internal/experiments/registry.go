@@ -70,13 +70,10 @@ func ExperimentNames() []string {
 	return names
 }
 
-// ResolveConfigs derives the effective machine and compiler configurations
-// the Runner would use for profile p: the scaled Table I configuration with
-// the profile's thread count and the §IV-A store-threshold default. Callers
-// that execute simulations outside the Runner (failure injection, streaming
-// runs) use it so their results match the cached grid cycle for cycle.
+// ResolveConfigs is Resolve on the scaled Table I configuration with no
+// mutators: the configurations the Runner uses for profile p.
 func ResolveConfigs(p workload.Profile, ccfg compiler.Config) (machine.Config, compiler.Config) {
-	return resolve(p, ccfg, nil)
+	return Resolve(machine.Config{}, p, ccfg)
 }
 
 // SchemeByName resolves a persistence scheme by its evaluation name

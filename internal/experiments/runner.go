@@ -290,24 +290,46 @@ func slowdownSpecs(p workload.Profile, sch machine.Scheme, ccfg compiler.Config,
 	}
 }
 
-// resolve derives the effective machine and compiler configurations of a
-// run, exactly as Run will execute it: the scaled Table I config with the
-// profile's thread count, then the mutators, then the §IV-A store-threshold
-// default (half the WPQ size).
-func resolve(p workload.Profile, ccfg compiler.Config, muts []Mutator) (machine.Config, compiler.Config) {
-	cfg := ScaledConfig()
-	cfg.Threads = p.Threads
+// Resolve derives the effective machine and compiler configurations of a
+// run of p, exactly as Run executes it: base (the zero Config means
+// ScaledConfig) with the profile's thread count and enough cores for it,
+// then the mutators, then the §IV-A compiler defaults (core.CompilerDefaults).
+// Every path that turns a profile into a machine resolves here, so their
+// results match the Runner's cycle for cycle.
+func Resolve(base machine.Config, p workload.Profile, ccfg compiler.Config, muts ...Mutator) (machine.Config, compiler.Config) {
+	cfg := base
+	if cfg.Cores == 0 {
+		cfg = ScaledConfig()
+	}
+	if p.Threads > 0 {
+		cfg.Threads = p.Threads
+	}
+	if cfg.Threads < 1 {
+		cfg.Threads = 1
+	}
 	if cfg.Threads > cfg.Cores {
 		cfg.Cores = cfg.Threads
 	}
 	for _, m := range muts {
 		m(&cfg)
 	}
-	if ccfg.StoreThreshold == 0 {
-		ccfg.StoreThreshold = cfg.WPQEntries / 2
-		ccfg.MaxUnroll = compiler.DefaultConfig().MaxUnroll
+	return cfg, core.CompilerDefaults(ccfg, cfg)
+}
+
+// NewRuntime builds the runtime of one resolved run: workload.Build, then
+// core.NewRuntimeFor, which compiles instrumented schemes. It is the one
+// path from a run description to a bootable machine; sink, when non-nil,
+// rides on every system the runtime boots.
+func NewRuntime(p workload.Profile, sch machine.Scheme, cfg machine.Config, ccfg compiler.Config, sink probe.Sink) (*core.Runtime, error) {
+	prog, err := workload.Build(p)
+	if err != nil {
+		return nil, err
 	}
-	return cfg, ccfg
+	rt, err := core.NewRuntimeFor(prog, ccfg, cfg, sch, sink)
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", p.Suite, p.Name, err)
+	}
+	return rt, nil
 }
 
 // Prefetch resolves every spec's run key, deduplicates, and executes all
@@ -321,7 +343,7 @@ func (r *Runner) Prefetch(specs []RunSpec) error {
 	var errMu sync.Mutex
 	var firstErr error
 	for _, s := range specs {
-		cfg, ccfg := resolve(s.Profile, s.Compiler, s.Muts)
+		cfg, ccfg := Resolve(machine.Config{}, s.Profile, s.Compiler, s.Muts...)
 		key := runKey(s.Profile, s.Scheme, cfg, ccfg)
 		if seen[key] {
 			continue
@@ -356,7 +378,7 @@ func (r *Runner) Prefetch(specs []RunSpec) error {
 // simulation itself is canceled at cycle-batch granularity once no caller is
 // waiting on it. Canceled runs are never cached.
 func (r *Runner) Run(p workload.Profile, sch machine.Scheme, ccfg compiler.Config, muts ...Mutator) (*machine.Stats, error) {
-	cfg, ccfg := resolve(p, ccfg, muts)
+	cfg, ccfg := Resolve(machine.Config{}, p, ccfg, muts...)
 	key := runKey(p, sch, cfg, ccfg)
 	s := r.s
 
@@ -622,21 +644,6 @@ func (s *runnerState) progressLine(p workload.Profile, sch machine.Scheme, hash,
 // writes it as Chrome trace-event JSON. Cancellation is honored at
 // cycle-batch granularity; run failures wrap the wsperr sentinels.
 func simulate(ctx context.Context, p workload.Profile, sch machine.Scheme, cfg machine.Config, ccfg compiler.Config, timelinePath string) (*machine.Stats, metrics.Snapshot, error) {
-	prog, err := workload.Build(p)
-	if err != nil {
-		return nil, metrics.Snapshot{}, err
-	}
-	if sch.Instrumented {
-		res, err := compiler.Compile(prog, ccfg)
-		if err != nil {
-			return nil, metrics.Snapshot{}, fmt.Errorf("%s/%s: %w", p.Suite, p.Name, err)
-		}
-		prog = res.Prog
-	}
-	sys, err := machine.NewSystem(prog, cfg, sch)
-	if err != nil {
-		return nil, metrics.Snapshot{}, err
-	}
 	m := metrics.New()
 	// The sink stack: the per-run metrics accumulator always rides along;
 	// a request-scoped flight recorder (obs.WithRecorder) and a timeline
@@ -652,7 +659,14 @@ func simulate(ctx context.Context, p workload.Profile, sch machine.Scheme, cfg m
 		tl.TraceID = obs.TraceID(ctx)
 		sinks = append(sinks, tl)
 	}
-	sys.SetProbeSink(probe.Multi(sinks...))
+	rt, err := NewRuntime(p, sch, cfg, ccfg, probe.Multi(sinks...))
+	if err != nil {
+		return nil, metrics.Snapshot{}, err
+	}
+	sys, err := rt.NewSystem()
+	if err != nil {
+		return nil, metrics.Snapshot{}, err
+	}
 	if err := sys.RunContext(ctx, MaxRunCycles); err != nil {
 		return nil, metrics.Snapshot{}, fmt.Errorf("%s/%s under %s: %w", p.Suite, p.Name, sch.Name, err)
 	}

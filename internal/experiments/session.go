@@ -543,26 +543,16 @@ func (st *SessionStore) Close() {
 	}
 }
 
-// ScrubBlobs verifies, garbage-collects and self-heals the shared snapshot
-// blob directory: corrupt blobs are quarantined, unrecognized entries
-// (truncated writes, retired schema versions, orphaned temp files) and
-// blobs no session manifest references anymore are removed. It returns the
-// number of entries removed or quarantined.
-func (st *SessionStore) ScrubBlobs() (int, error) {
-	rep, err := st.Scrub(0)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Removed() + rep.Quarantined, nil
-}
-
-// Scrub is ScrubBlobs with a full report and an optional size quota in
-// bytes (0 = unbounded): after validity and reference GC, quota pressure
-// evicts the oldest unreferenced survivors first. Referenced blobs are
-// never quota-evicted — the quota trims cache weight, it must not break a
-// session. A blob GC'd in the window between a concurrent snapshot's blob
-// write and its manifest write only costs that restore a fallback to an
-// older snapshot; restores never trust a missing blob.
+// Scrub verifies, garbage-collects and self-heals the shared snapshot blob
+// directory: corrupt blobs are quarantined, unrecognized entries (truncated
+// writes, retired schema versions, orphaned temp files) and blobs no session
+// manifest references anymore are removed. quotaBytes (0 = unbounded) adds
+// quota pressure after validity and reference GC, evicting the oldest
+// unreferenced survivors first. Referenced blobs are never quota-evicted —
+// the quota trims cache weight, it must not break a session. A blob GC'd
+// in the window between a concurrent snapshot's blob write and its
+// manifest write only costs that restore a fallback to an older snapshot;
+// restores never trust a missing blob.
 func (st *SessionStore) Scrub(quotaBytes int64) (ScrubReport, error) {
 	ids, err := st.List()
 	if err != nil {
@@ -641,10 +631,6 @@ func newSession(st *SessionStore, id string, spec SessionSpec) (*Session, error)
 	if !sch.Instrumented {
 		return nil, fmt.Errorf("experiments: scheme %q cannot host a session: no recovery metadata to snapshot", sch.Name)
 	}
-	prog, err := workload.Build(p)
-	if err != nil {
-		return nil, err
-	}
 	mcfg, ccfg := ResolveConfigs(p, compiler.Config{})
 	s := &Session{
 		ID:    id,
@@ -653,7 +639,7 @@ func newSession(st *SessionStore, id string, spec SessionSpec) (*Session, error)
 		dir:   filepath.Join(st.dir, id),
 		man:   st.manifestCache(id),
 	}
-	rt, err := core.NewRuntimeFor(prog, ccfg, mcfg, sch, probe.SinkFunc(s.onProbe))
+	rt, err := NewRuntime(p, sch, mcfg, ccfg, probe.SinkFunc(s.onProbe))
 	if err != nil {
 		return nil, err
 	}
@@ -845,22 +831,28 @@ func (s *Session) execAdvance(ctx context.Context, target uint64) error {
 }
 
 // execSnap executes an (already journaled) snapshot record: emit the
-// snapshot marker, cut power, clone the drained image, recover the
-// successor, and — on the live path only — persist the blob and manifest.
-// The replay path re-executes the same cut/recover so the stream and the
-// machine state come out identical, but never rewrites durable state.
+// snapshot marker, take the power-cut step, and — on the live path only —
+// persist the drained image with the manifest. The replay path re-executes
+// the same cut so the stream and the machine state come out identical, but
+// never rewrites durable state. The cut/drained milestones carry the old
+// segment and total, the successor's boot milestone the new ones: the
+// bookkeeping advances in the cut hook, between drain and recovery.
 func (s *Session) execSnap(live bool) error {
 	s.emitSynthetic(SessionEvent{
 		Type: "snapshot", Segment: s.segment, Cycle: s.sys.Cycle(),
 		Total: s.totalBase + s.sys.Cycle(), SnapRecord: s.record,
 	})
 	start := time.Now()
-	rep := s.sys.PowerFail()  // emits the cut/drained milestones
-	img := s.sys.PM().Clone() // before recovery's undo rollback mutates it
-	s.totalBase += s.sys.Cycle()
-	s.outputsBase += uint64(len(s.sys.Output))
-	s.segment++
-	rec, err := s.rt.Recover(s.sys.PM(), rep.RegionCounter) // emits the boot milestone
+	var img *mem.Image
+	rec, rep, err := s.rt.Cut(s.sys, func(pm *mem.Image) error {
+		if live {
+			img = pm.Clone()
+		}
+		s.totalBase += s.sys.Cycle()
+		s.outputsBase += uint64(len(s.sys.Output))
+		s.segment++
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("experiments: session %q: snapshot recovery: %w", s.ID, err)
 	}

@@ -1,11 +1,11 @@
 // Package fleet shards the lightwsp serving daemon across replicas: a
-// rendezvous-hash ring decides which node owns each routing key (run keys,
-// session IDs), nodes forward session requests that land on the wrong
-// replica, and the lb Router fronts the fleet with health-aware admission. The design
-// goal is cache coherence on the cheap — no membership gossip, no
-// rebalancing protocol. Ownership is a pure function of (healthy node set,
-// key); losing a node simply re-evaluates that function, and the shared L2
-// store makes the rehash cheap because any node can serve any key's bytes.
+// rendezvous-hash ring decides which node owns each session ID, nodes
+// forward session requests that land on the wrong replica, and the lb Router
+// fronts the fleet with health-aware admission. The design goal is cache
+// coherence on the cheap — no membership gossip, no rebalancing protocol.
+// Ownership is a pure function of (healthy node set, key); losing a node
+// simply re-evaluates that function, and the shared L2 store makes the
+// rehash cheap because any node can serve any key's bytes.
 package fleet
 
 import (
@@ -94,15 +94,6 @@ func (r *Ring) Owners(key string) []string {
 		out[i] = x.node
 	}
 	return out
-}
-
-// RunRouteKey is the routing key of a run-shaped request. It hashes the
-// workload identity, not the full canonical run key: the full key needs
-// resolved machine/compiler configs that the lb cannot compute from the
-// wire request, and suite/app/scheme is exactly the warmth the cache
-// shards by.
-func RunRouteKey(suite, app, scheme string) string {
-	return "run|" + suite + "/" + app + "/" + scheme
 }
 
 // SessionRouteKey is the routing key of a session request: sessions are

@@ -21,7 +21,7 @@ func TestRingDeterministic(t *testing.T) {
 	a := NewRing(nodes)
 	b := NewRing([]string{nodes[3], nodes[1], nodes[4], nodes[0], nodes[2]})
 	for i := 0; i < 200; i++ {
-		key := RunRouteKey("cpu2006", fmt.Sprintf("app-%d", i), "lightwsp")
+		key := fmt.Sprintf("key-%d", i)
 		if a.Owner(key) != b.Owner(key) {
 			t.Fatalf("construction order changed ownership of %q", key)
 		}

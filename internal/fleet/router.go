@@ -16,9 +16,10 @@ import (
 	"lightwsp/internal/metrics"
 )
 
-// maxRoutedBody bounds the request body the Router buffers to extract a
-// routing key and replay across failover attempts. Request bodies on every
-// routed endpoint are small JSON documents; streams flow the other way.
+// maxRoutedBody bounds the POST body the Router buffers to extract a
+// session routing key and replay across failover attempts. Request bodies
+// on every routed endpoint are small JSON documents; streams flow the other
+// way.
 const maxRoutedBody = 8 << 20
 
 // NodeStatus is the Router's last known view of one backend.
@@ -44,12 +45,13 @@ type RouterConfig struct {
 	Logger *slog.Logger
 }
 
-// Router is the lb's http.Handler: it routes each request to the ring
-// owner of its routing key among the currently healthy nodes, streams the
-// response back, and fails over down the preference ladder when the owner
-// drops mid-request. Admission stays with the nodes — a 429 or 503 from a
-// backend passes through verbatim, Retry-After included, so backpressure
-// reaches clients no matter which tier noticed the overload first.
+// Router is the lb's http.Handler: it routes each session request to the
+// ring owner of its session ID and every other request round-robin among
+// the currently healthy nodes, streams the response back, and fails over
+// to the next candidate when a node is unreachable. Admission stays with
+// the nodes — a 429 or 503 from a backend passes through verbatim,
+// Retry-After included, so backpressure reaches clients no matter which
+// tier noticed the overload first.
 type Router struct {
 	cfg   RouterConfig
 	hc    *http.Client // proxy transport: no timeout, streams can live long
@@ -291,48 +293,36 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	writeJSONError(w, http.StatusServiceUnavailable, "no reachable node")
 }
 
-// routeKey derives the consistent-hash key of a request, buffering the
-// body when the key lives inside it (returned for replay). An empty key
-// means "any node".
+// routeKey derives the consistent-hash key of a request and buffers every
+// POST body once, so an unreachable node's request can be replayed to the
+// next candidate. Only sessions are keyed — a session has a single writer,
+// so every operation on one ID must land on its owner. Everything else,
+// runs included, gets the empty key: round-robin over the healthy nodes.
 func routeKey(r *http.Request) (key string, body []byte, err error) {
+	if r.Method == http.MethodPost {
+		body, err = io.ReadAll(io.LimitReader(r.Body, maxRoutedBody))
+		if err != nil {
+			return "", nil, fmt.Errorf("reading body: %w", err)
+		}
+	}
 	path := r.URL.Path
 	switch {
 	case strings.HasPrefix(path, "/v1/session/"):
 		rest := strings.TrimPrefix(path, "/v1/session/")
 		if id, _, _ := strings.Cut(rest, "/"); id != "" {
-			return SessionRouteKey(id), nil, nil
+			return SessionRouteKey(id), body, nil
 		}
-		return "", nil, nil
 	case path == "/v1/session" && r.Method == http.MethodPost:
-		body, err = io.ReadAll(io.LimitReader(r.Body, maxRoutedBody))
-		if err != nil {
-			return "", nil, fmt.Errorf("reading body: %w", err)
-		}
 		var req struct {
 			ID string `json:"id"`
 		}
 		json.Unmarshal(body, &req)
-		if req.ID == "" {
-			// The node will mint or reject the ID; no affinity to honor yet.
-			return "", body, nil
+		if req.ID != "" {
+			return SessionRouteKey(req.ID), body, nil
 		}
-		return SessionRouteKey(req.ID), body, nil
-	case path == "/v1/run" || path == "/v1/run/stream" ||
-		path == "/v1/run-with-failure" || path == "/v1/crashfuzz":
-		body, err = io.ReadAll(io.LimitReader(r.Body, maxRoutedBody))
-		if err != nil {
-			return "", nil, fmt.Errorf("reading body: %w", err)
-		}
-		var req struct {
-			Suite  string `json:"suite"`
-			App    string `json:"app"`
-			Scheme string `json:"scheme"`
-		}
-		json.Unmarshal(body, &req)
-		return RunRouteKey(req.Suite, req.App, req.Scheme), body, nil
-	default:
-		return "", nil, nil
+		// Otherwise the node mints or rejects the ID; no affinity yet.
 	}
+	return "", body, nil
 }
 
 func writeJSONError(w http.ResponseWriter, code int, msg string) {

@@ -56,44 +56,43 @@ func newTestFleet(t *testing.T, n int) ([]*fakeNode, *Router) {
 	return nodes, NewRouter(RouterConfig{Nodes: urls})
 }
 
-// TestRouterKeyAffinity proves every request for one run key lands on the
-// same backend, whatever the request count.
+// TestRouterKeyAffinity proves the lb's two routing rules: every operation
+// on one session lands on the same backend, and identical run requests
+// spread round-robin over every healthy backend (any node serves any run).
 func TestRouterKeyAffinity(t *testing.T) {
 	_, rt := newTestFleet(t, 3)
 	lb := httptest.NewServer(rt)
 	defer lb.Close()
 
-	want := ""
-	for i := 0; i < 10; i++ {
-		resp, err := http.Post(lb.URL+"/v1/run", "application/json",
-			strings.NewReader(`{"suite":"cpu2006","app":"mcf","scheme":"lightwsp"}`))
+	route := func(path, body string) string {
+		t.Helper()
+		resp, err := http.Post(lb.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer resp.Body.Close()
 		var out struct{ Node string }
 		json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if want == "" {
-			want = out.Node
-		} else if out.Node != want {
-			t.Fatalf("request %d routed to %s, earlier ones to %s", i, out.Node, want)
+		return out.Node
+	}
+
+	owner := route("/v1/session", `{"id":"sess-1","suite":"cpu2006","app":"mcf"}`)
+	for i := 0; i < 6; i++ {
+		if got := route("/v1/session/sess-1/advance", `{"target":1000}`); got != owner {
+			t.Fatalf("session op %d routed to %s, its creation to %s", i, got, owner)
 		}
 	}
-	// A different key may route elsewhere, but must also be sticky.
-	other := ""
-	for i := 0; i < 5; i++ {
-		resp, err := http.Post(lb.URL+"/v1/run", "application/json",
-			strings.NewReader(`{"suite":"cpu2006","app":"lbm","scheme":"lightwsp"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out struct{ Node string }
-		json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if other == "" {
-			other = out.Node
-		} else if out.Node != other {
-			t.Fatalf("second key not sticky: %s then %s", other, out.Node)
+
+	served := map[string]int{}
+	for i := 0; i < 9; i++ {
+		served[route("/v1/run", `{"suite":"cpu2006","app":"mcf","scheme":"lightwsp"}`)]++
+	}
+	if len(served) != 3 {
+		t.Fatalf("9 identical runs reached %d of 3 nodes: %v", len(served), served)
+	}
+	for node, n := range served {
+		if n != 3 {
+			t.Fatalf("runs not round-robin: %s served %d of 9 (%v)", node, n, served)
 		}
 	}
 }
@@ -147,15 +146,16 @@ func TestRouterSessionAffinity(t *testing.T) {
 }
 
 // TestRouterEjectsUnhealthy proves a 503-on-/healthz node leaves the ring
-// on the next probe and its keys reroute, then return when it recovers.
+// on the next probe and its session keys reroute, then return when it
+// recovers.
 func TestRouterEjectsUnhealthy(t *testing.T) {
 	nodes, rt := newTestFleet(t, 3)
 	lb := httptest.NewServer(rt)
 	defer lb.Close()
 
 	getOwner := func() string {
-		resp, err := http.Post(lb.URL+"/v1/run", "application/json",
-			strings.NewReader(`{"suite":"cpu2006","app":"mcf","scheme":"lightwsp"}`))
+		resp, err := http.Post(lb.URL+"/v1/session/sess-1/advance", "application/json",
+			strings.NewReader(`{"target":1000}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,40 +188,60 @@ func TestRouterEjectsUnhealthy(t *testing.T) {
 	}
 }
 
-// TestRouterFailover proves a request to a dead owner fails over down the
-// ladder before the poller notices, and the dead node is ejected.
+// TestRouterFailover proves a run request whose first candidate is dead
+// fails over before the poller notices, with its buffered body replayed
+// intact, and the dead node is ejected. Runs go round-robin, so one lap of
+// requests reaches the killed node's turn.
 func TestRouterFailover(t *testing.T) {
 	nodes, rt := newTestFleet(t, 3)
 	lb := httptest.NewServer(rt)
 	defer lb.Close()
 
-	body := `{"suite":"cpu2006","app":"mcf","scheme":"lightwsp"}`
-	resp, err := http.Post(lb.URL+"/v1/run", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	const body = `{"suite":"cpu2006","app":"mcf","scheme":"lightwsp"}`
+	run := func() (int, string, string) {
+		t.Helper()
+		resp, err := http.Post(lb.URL+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct{ Node, Body string }
+		json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out.Node, out.Body
 	}
-	var out struct{ Node string }
-	json.NewDecoder(resp.Body).Decode(&out)
-	resp.Body.Close()
-
+	_, dead, _ := run()
 	for _, n := range nodes {
-		if n.name == out.Node {
-			n.ts.Close() // kill the owner without telling the poller
+		if n.name == dead {
+			n.ts.Close() // kill it without telling the poller
 		}
 	}
-	resp, err = http.Post(lb.URL+"/v1/run", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out2 struct{ Node string }
-	json.NewDecoder(resp.Body).Decode(&out2)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || out2.Node == out.Node || out2.Node == "" {
-		t.Fatalf("failover failed: status %d node %q (dead owner %q)", resp.StatusCode, out2.Node, out.Node)
+	for i := 0; i < len(nodes); i++ {
+		status, node, got := run()
+		if status != http.StatusOK || node == dead || node == "" {
+			t.Fatalf("request %d: status %d node %q (dead node %q)", i, status, node, dead)
+		}
+		if got != body {
+			t.Fatalf("request %d: backend saw body %q, client sent %q", i, got, body)
+		}
 	}
 	if rt.failovers.Load() == 0 {
 		t.Fatal("failover counter not incremented")
 	}
+	for _, st := range rt.Status() {
+		if st.Healthy && nodeName(nodes, st.URL) == dead {
+			t.Fatalf("dead node %s still in the ring", dead)
+		}
+	}
+}
+
+// nodeName maps a backend URL back to its fake node's name.
+func nodeName(nodes []*fakeNode, url string) string {
+	for _, n := range nodes {
+		if n.ts.URL == url {
+			return n.name
+		}
+	}
+	return ""
 }
 
 // TestRouterNoNodes proves total outage answers 503 with Retry-After.

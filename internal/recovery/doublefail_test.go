@@ -157,3 +157,58 @@ func TestVerifyPMMatchesArch(t *testing.T) {
 		t.Fatal("lost program data accepted")
 	}
 }
+
+// TestVerifyCrash pins the shared crash verdict. A finished run passes
+// against its own failure-free image; a user word flipped in the final PM
+// breaks PM ≡ architectural state at any thread count; a user word flipped
+// in the failure-free image only counts for a single-threaded run, where
+// the word-for-word comparison applies.
+func TestVerifyCrash(t *testing.T) {
+	const word = 0x2000 // accumProg's published total
+	flip := func(img *mem.Image) { img.Write(word, img.Read(word)^1) }
+	cases := []struct {
+		name    string
+		final   func(*mem.Image) // mutates the finished run's PM
+		clean   func(*mem.Image) // mutates the failure-free image
+		fails1  bool
+		failsMT bool
+	}{
+		{name: "clean run", fails1: false, failsMT: false},
+		{name: "flipped PM word", final: flip, fails1: true, failsMT: true},
+		{name: "flipped oracle word", clean: flip, fails1: true, failsMT: false},
+	}
+	for _, threads := range []int{1, 8} {
+		cfg := machine.DefaultConfig()
+		cfg.Threads = threads
+		if cfg.Cores < threads {
+			cfg.Cores = threads
+		}
+		res, err := compiler.Compile(accumProg(t, 40), compiler.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range cases {
+			sys, err := machine.NewSystem(res.Prog, cfg, lightwspScheme())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sys.Run(10_000_000) {
+				t.Fatalf("%d threads: run did not finish", threads)
+			}
+			clean := sys.PM().Clone()
+			if tc.final != nil {
+				tc.final(sys.PM())
+			}
+			if tc.clean != nil {
+				tc.clean(clean)
+			}
+			want := tc.fails1
+			if threads > 1 {
+				want = tc.failsMT
+			}
+			if err := VerifyCrash(sys, clean, threads); (err != nil) != want {
+				t.Errorf("%s at %d threads: verdict %v, want failure=%v", tc.name, threads, err, want)
+			}
+		}
+	}
+}

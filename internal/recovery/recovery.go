@@ -126,3 +126,21 @@ func VerifyPMMatchesArch(pm, arch *mem.Image) error {
 	diffs := pm.Diff(arch, 8)
 	return fmt.Errorf("recovery: persisted data diverges from final architectural state: %v", diffs)
 }
+
+// VerifyCrash is the crash verdict, the one rule every crash/recover path
+// applies to a run that finished after one or more power cuts: PM must
+// equal the final architectural state on program data, and a
+// single-threaded run must also match the failure-free image word for word.
+// Multi-threaded runs skip the second check because commutative critical
+// sections can legally interleave differently across a recovery. clean is
+// the failure-free run's final PM; nil means none was run, and only the
+// first check applies.
+func VerifyCrash(final *machine.System, clean *mem.Image, threads int) error {
+	if err := VerifyPMMatchesArch(final.PM(), final.Arch()); err != nil {
+		return err
+	}
+	if threads == 1 && clean != nil {
+		return VerifyEquivalence(final.PM(), clean)
+	}
+	return nil
+}

@@ -6,12 +6,10 @@ import (
 	"time"
 
 	"lightwsp/internal/compiler"
-	"lightwsp/internal/core"
 	"lightwsp/internal/experiments"
 	"lightwsp/internal/machine"
 	"lightwsp/internal/metrics"
 	"lightwsp/internal/probe"
-	"lightwsp/internal/workload"
 )
 
 // streamChunk is how many cycles the streaming run advances between
@@ -96,11 +94,6 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	ctx, detach := s.attachFlight(ctx, ri)
 	defer detach()
 
-	prog, err := workload.Build(p)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
 	cfg, ccfg := experiments.ResolveConfigs(p, compiler.Config{})
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -119,7 +112,7 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	rt, err := core.NewRuntimeFor(prog, ccfg, cfg, sch, probe.Multi(m, ss, ri.flight))
+	rt, err := experiments.NewRuntime(p, sch, cfg, ccfg, probe.Multi(m, ss, ri.flight))
 	if err != nil {
 		fail(err)
 		return
